@@ -7,6 +7,7 @@ long it took.  Stated time bounds are asserted with ``perf_counter``;
 everything else is exact — no tolerances anywhere.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -16,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 import knotcert as kc
+from knotcert.certify import _canonical_json
 from knotcert.knots import parse_knot
 from oracles import brute_force_subgroups, float_signature
 
@@ -228,6 +230,11 @@ def test_criterion_08_end_to_end_demo_and_reverification():
         assert sum(c for c in coeffs if c > 0) <= 3, coeffs
         assert sum(-c for c in coeffs if c < 0) <= 3, coeffs
         assert combo["reason"] in ("parity", "witnessed")
+    # the demo certificate's bytes are part of the contract
+    assert len(data["combos"]) == 146
+    assert hashlib.sha256(_canonical_json(data).encode()).hexdigest() == (
+        "348e1fdb6a0dfe124141da474e2d4a337bfa54fe667e99b26f142fcb531468a8"
+    )
     verified, problems = kc.verify_certificate(data)
     ok = verified and elapsed < 60.0
     _report(8, "demo --a 1 --b 1 certifies and re-verifies", ok, t0,

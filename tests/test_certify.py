@@ -1,6 +1,7 @@
 """Independence certificates: generation, serialization, verification."""
 
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -157,6 +158,13 @@ def test_json_round_trip_verifies():
 
 def test_json_is_deterministic():
     assert small_cert().to_json() == small_cert().to_json()
+
+
+def test_json_bytes_are_pinned():
+    text = small_cert().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "66c9a48731bd4f43fa592cc476fb23f322f1acf17e85ec5a610afebdfe699abf"
+    )
 
 
 def test_json_carries_conventions_and_version():
