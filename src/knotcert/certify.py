@@ -28,18 +28,19 @@ from .errors import (
     HypothesisViolation,
     KnotcertError,
 )
-from .covers import Character, FiniteAbelianGroup, PatternCover
+from .covers import FiniteAbelianGroup, PatternCover
 from .knots import parse_knot
 from .obstruction import (
     CGProfile,
     ObstructionInstance,
     RatInterval,
+    _component_character,
     check_slice_obstruction,
     obstruction_sum,
     select_subsequence,
     witness_json,
-    witness_list_digest,
 )
+from .polynomials import prime_powers
 from .signatures import check_ordering_hypothesis
 from .subgroups import Subgroup
 
@@ -77,23 +78,18 @@ class ComboRecord:
     witnesses: tuple
     witness_digest: str = None
 
-    def to_json_dict(self, witness_cap):
+    def to_json_dict(self):
         out = {
             "coefficients": list(self.coefficients),
             "reason": self.reason,
             "subgroup_count": self.subgroup_count,
         }
         if self.witness_digest is not None:
-            # capped at source: only the commitment survives
+            # capped at source by the sweep: only the commitment survives
             out["witness_count"] = self.subgroup_count
             out["witness_digest"] = self.witness_digest
-            return out
-        wj = _witnesses_json(self.witnesses)
-        if witness_cap is None or len(wj) <= witness_cap:
-            out["witnesses"] = wj
         else:
-            out["witness_count"] = len(wj)
-            out["witness_digest"] = witness_list_digest(wj)
+            out["witnesses"] = _witnesses_json(self.witnesses)
         return out
 
 
@@ -151,22 +147,11 @@ class IndependenceCertificate:
             "per_side_cap": self.per_side_cap,
         }
         if self.mode == "exhaustive":
-            data["combos"] = [
-                c.to_json_dict(self.witness_cap) for c in self.combos
-            ]
+            data["combos"] = [c.to_json_dict() for c in self.combos]
         return data
 
     def to_json(self):
         return _canonical_json(self.to_json_dict())
-
-
-def _smallest_prime_factor(n):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
 
 
 def _signed_combinations(count, budget):
@@ -178,6 +163,17 @@ def _signed_combinations(count, budget):
     ]
     out.sort(key=lambda c: (sum(abs(x) for x in c), c))
     return out
+
+
+def _combo_instance(pattern, profile, selected, coeffs, p, k):
+    """The instance #_{c>0} c P(K) # -(#_{c<0} |c| P(K)) of a combination."""
+    pos, neg = [], []
+    for c, knot in zip(coeffs, selected):
+        if c > 0:
+            pos.extend([knot] * c)
+        elif c < 0:
+            neg.extend([knot] * (-c))
+    return ObstructionInstance(pattern, profile, pos, neg, p, k)
 
 
 def certify_independence(pattern, profile, family, budget=6, mode="ordering",
@@ -231,27 +227,16 @@ def certify_independence(pattern, profile, family, budget=6, mode="ordering",
             "no family member has CG values strictly above 0; "
             "nothing can be selected"
         )
-    p = _smallest_prime_factor(n)
-    k = 0
-    nn = n
-    while nn % p == 0:
-        nn //= p
-        k += 1
+    p, k = prime_powers(n)[0]
     combos = ()
     if mode == "exhaustive":
         selected = [family[i] for i in selection.indices]
         records = []
         for coeffs in _signed_combinations(len(selected), budget):
-            pos, neg = [], []
-            for c, knot in zip(coeffs, selected):
-                if c > 0:
-                    pos.extend([knot] * c)
-                elif c < 0:
-                    neg.extend([knot] * (-c))
+            inst = _combo_instance(pattern, profile, selected, coeffs, p, k)
             if per_side_cap is not None and (
-                    len(pos) > per_side_cap or len(neg) > per_side_cap):
+                    inst.m > per_side_cap or inst.n_neg > per_side_cap):
                 continue
-            inst = ObstructionInstance(pattern, profile, pos, neg, p, k)
             result = check_slice_obstruction(
                 inst, max_group_order=max_group_order,
                 self_annihilating_only=self_annihilating_only,
@@ -333,21 +318,15 @@ def verify_certificate(data):
         selected = [family[i] for i in data["selection"]["indices"]]
         for combo in data.get("combos", ()):
             coeffs = combo["coefficients"]
-            pos, neg = [], []
-            for c, knot in zip(coeffs, selected):
-                if c > 0:
-                    pos.extend([knot] * c)
-                elif c < 0:
-                    neg.extend([knot] * (-c))
             try:
-                inst = ObstructionInstance(pattern, profile, pos, neg, p, k)
+                inst = _combo_instance(
+                    pattern, profile, selected, coeffs, p, k
+                )
             except KnotcertError as ex:
                 problems.append(f"combo {coeffs} cannot be replayed: {ex}")
                 continue
             for w in combo.get("witnesses", ()):
-                chis = tuple(
-                    Character((Fraction(c % q, q),)) for c in w["chi"]
-                )
+                chis = tuple(_component_character(inst, c) for c in w["chi"])
                 try:
                     val = obstruction_sum(inst, chis)
                 except KnotcertError as ex:
@@ -362,8 +341,8 @@ def verify_certificate(data):
                         f"witness {w['chi']} of combo {coeffs} recomputes to "
                         f"{val}, certificate says {recorded}"
                     )
-                iv = val if isinstance(val, RatInterval) else RatInterval.point(val)
-                if not iv.excludes_zero:
+                # adding to a point re-wraps the unwrapped sum as an interval
+                if not (RatInterval.point(0) + val).excludes_zero:
                     problems.append(
                         f"witness {w['chi']} of combo {coeffs} does not "
                         "exclude zero"

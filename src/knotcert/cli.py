@@ -129,7 +129,6 @@ def _signature_report(e, args):
         }
     sf = signature_function(e, args.bound)
     lines = []
-    cuts = [None] + list(sf.jumps)
     for i, v in enumerate(sf.interval_values):
         lo = "0" if i == 0 else str(sf.jumps[i - 1])
         hi = str(sf.jumps[i]) if i < len(sf.jumps) else "1/2"

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
 from .errors import HypothesisViolation
 from .knots import SeifertMatrix
+from .polynomials import prime_powers
 from .snf import smith_normal_form
 
 
@@ -52,10 +53,6 @@ class FiniteAbelianGroup:
         return len(self.factors)
 
     @property
-    def exponent(self):
-        return self.factors[-1] if self.factors else 1
-
-    @property
     def is_trivial(self):
         return not self.factors
 
@@ -74,9 +71,6 @@ class FiniteAbelianGroup:
 
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.factors))
 
     def elements(self):
         return product(*(range(d) for d in self.factors))
@@ -211,20 +205,17 @@ def _unit_coords(group):
     return [tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]
 
 
-_presentation_cache = {}
-
-
+@lru_cache(maxsize=None)
 def cover_presentation(v):
-    """Full double-branched-cover package for a Seifert matrix (cached)."""
-    key = v.rows
-    if key in _presentation_cache:
-        return _presentation_cache[key]
+    """Full double-branched-cover package for a Seifert matrix (cached).
+
+    SeifertMatrix equality and hashing are those of its rows, so the
+    cache is keyed on v.rows.
+    """
     sym = v.symmetrized()
     n = len(sym)
     if n == 0:
-        pres = CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), ())
-        _presentation_cache[key] = pres
-        return pres
+        return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), ())
     diag, u_rows, uinv_rows = smith_normal_form(sym)
     diag = tuple(diag)
     u_rows = tuple(tuple(r) for r in u_rows)
@@ -238,9 +229,7 @@ def cover_presentation(v):
     lifts = tuple(
         tuple(uinv_rows[r][i] for r in range(n)) for i in positions
     )
-    pres = CoverPresentation(group, sym, u_rows, positions, diag, lifts)
-    _presentation_cache[key] = pres
-    return pres
+    return CoverPresentation(group, sym, u_rows, positions, diag, lifts)
 
 
 def homology_from_seifert(v):
@@ -254,24 +243,13 @@ def linking_form(v, x, y):
     return cover_presentation(v).linking(x, y)
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def characters_of_order(group, p, max_power=None):
     """All characters of the p-primary part with order dividing p^max_power.
 
     Returned sorted, zero character included; the list is closed under
     negation (chi and -chi always appear together).
     """
-    if not _is_prime(p):
+    if prime_powers(p) != ((p, 1),):
         raise HypothesisViolation(f"{p} is not prime")
     if group.order % p != 0:
         raise HypothesisViolation(

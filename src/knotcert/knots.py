@@ -60,12 +60,6 @@ class SeifertMatrix:
     def genus(self):
         return len(self.rows) // 2
 
-    def transpose(self):
-        n = self.size
-        return SeifertMatrix(
-            tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n))
-        )
-
     def mirror(self):
         """Seifert matrix -V^T of the mirror image."""
         n = self.size
@@ -81,14 +75,17 @@ class SeifertMatrix:
             for i in range(n)
         )
 
-    def block_sum(self, other):
-        n, m = self.size, other.size
+    @classmethod
+    def block_diagonal(cls, parts):
+        """Orthogonal sum of the given matrices, built in one pass."""
+        n = sum(part.size for part in parts)
         rows = []
-        for i in range(n):
-            rows.append(self.rows[i] + (0,) * m)
-        for i in range(m):
-            rows.append((0,) * n + other.rows[i])
-        return SeifertMatrix(tuple(rows))
+        offset = 0
+        for part in parts:
+            left, right = (0,) * offset, (0,) * (n - offset - part.size)
+            rows.extend(left + row + right for row in part.rows)
+            offset += part.size
+        return cls(tuple(rows))
 
     def diagonal_blocks(self):
         """Partition of indices into connected components of the support.
@@ -232,29 +229,24 @@ def evaluate(e):
     if isinstance(e, Mirror):
         return evaluate(e.inner).mirror()
     if isinstance(e, ConnectedSum):
-        return evaluate(e.left).block_sum(evaluate(e.right))
+        return SeifertMatrix.block_diagonal(
+            (evaluate(e.left), evaluate(e.right))
+        )
     if isinstance(e, Multiple):
         if e.count == 0:
             return EMPTY_SEIFERT
         base = evaluate(e.inner)
         if e.count < 0:
             base = base.mirror()
-        out = base
-        for _ in range(abs(e.count) - 1):
-            out = out.block_sum(base)
-        return out
+        return SeifertMatrix.block_diagonal((base,) * abs(e.count))
     raise ExpressionError(f"unknown expression node {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # Alexander polynomial
 
-_alex_block_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _alexander_of_block(block):
-    if block in _alex_block_cache:
-        return _alex_block_cache[block]
     n = len(block)
     # det(V - t V^T) per irreducible diagonal block
     mat = [
@@ -264,9 +256,7 @@ def _alexander_of_block(block):
         ]
         for i in range(n)
     ]
-    det = det_poly(mat)
-    _alex_block_cache[block] = det
-    return det
+    return det_poly(mat)
 
 
 def _normalize_alexander(p):
@@ -413,7 +403,10 @@ def parse_knot(text):
     if not tokens:
         raise ExpressionError("empty knot expression")
     p = _Parser(tokens, text)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply") from None
     if p.peek() is not None:
         raise ExpressionError(f"trailing input {p.peek()!r} in knot expression")
     return node

@@ -28,6 +28,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -35,8 +36,9 @@ import numpy as np
 from .errors import BudgetExceeded, HypothesisViolation, ProfileError
 from .covers import Character, PatternCover
 from .knots import KnotExpr
+from .polynomials import prime_powers
 from .signatures import levine_tristram
-from .subgroups import enumerate_subgroups, _prime_power
+from .subgroups import enumerate_subgroups
 
 
 @dataclass(frozen=True)
@@ -190,20 +192,25 @@ def _character_in_group(chi, group):
     return all(d % v.denominator == 0 for v, d in zip(chi.values, group.factors))
 
 
-def satellite_cg_value(profile, cover, chi, companion):
-    """taubar_{P(U)}(chi) + 2 sigma_{chi(v1)}(companion).
-
-    Returns a Fraction in exact mode, a RatInterval in bounded mode.
-    """
+def _cg_interval(profile, cover, chi, companion):
+    """satellite_cg_value as a RatInterval (a point in exact mode)."""
     if not _character_in_group(chi, cover.group):
         raise HypothesisViolation(
             f"character {chi.values} does not live on {cover.group.describe()}"
         )
     if chi.is_zero:
-        return Fraction(0)
+        return RatInterval.point(0)
     x = chi.evaluate(cover.v1_class)
     sig = levine_tristram(companion, x)
-    return (profile.value(chi) + 2 * sig).unwrap()
+    return profile.value(chi) + 2 * sig
+
+
+def satellite_cg_value(profile, cover, chi, companion):
+    """taubar_{P(U)}(chi) + 2 sigma_{chi(v1)}(companion).
+
+    Returns a Fraction in exact mode, a RatInterval in bounded mode.
+    """
+    return _cg_interval(profile, cover, chi, companion).unwrap()
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,7 @@ class ObstructionInstance:
         object.__setattr__(self, "negative_side", tuple(self.negative_side))
         for e in self.positive_side + self.negative_side:
             assert isinstance(e, KnotExpr)
-        pp = _prime_power(self.p)
-        if pp is None or pp[1] != 1:
+        if prime_powers(self.p) != ((self.p, 1),):
             raise HypothesisViolation(f"{self.p} is not prime")
         if self.k < 1:
             raise HypothesisViolation("exponent k must be >= 1")
@@ -250,14 +256,6 @@ class ObstructionInstance:
     def total(self):
         return self.m + self.n_neg
 
-    @property
-    def sides_overlap(self):
-        pos = list(self.positive_side)
-        for e in self.negative_side:
-            if e in pos:
-                return True
-        return False
-
 
 def _component_character(inst, c):
     """Character of the pattern cover group with chi(gen) = c / p^k."""
@@ -273,26 +271,31 @@ def obstruction_sum(inst, chi_tuple):
         )
     total = RatInterval.point(0)
     for chi, knot in zip(chi_tuple[: inst.m], inst.positive_side):
-        v = satellite_cg_value(inst.profile, inst.pattern, chi, knot)
-        iv = v if isinstance(v, RatInterval) else RatInterval.point(v)
-        total = total + iv
+        total = total + _cg_interval(inst.profile, inst.pattern, chi, knot)
     for chi, knot in zip(chi_tuple[inst.m:], inst.negative_side):
-        v = satellite_cg_value(inst.profile, inst.pattern, chi, knot)
-        iv = v if isinstance(v, RatInterval) else RatInterval.point(v)
-        total = total + (-iv)
+        total = total - _cg_interval(inst.profile, inst.pattern, chi, knot)
     return total.unwrap()
 
 
 # ---------------------------------------------------------------------------
 # vectorized witness search over all candidate metabolizers
 
-_tensor_cache = {}
+# Two sweep kernels (the support-only matvec and the per-coefficient
+# gather) and two tensor builders (one einsum over shared echelon shapes
+# for k = 1, Subgroup.elements() for k >= 2) are kept on purpose; the
+# code picks between them from the value tables and from k.  Folding
+# each pair into its general member keeps the certificates
+# byte-identical, but on a 2-core machine it slowed the (Z_3)^6 sweep
+# of 33,880 subgroups from about 485 ms to about 540 ms, and each
+# (Z_3)^6 tensor build by about 0.2 s from per-subgroup row_orders()
+# calls: roughly 10 % of a Z_3 certify round trip.
 
 # self-check hook: set False to force the per-coefficient gather path even
 # when the support-only shortcut applies (they must agree)
 _FLAT_FAST_PATH = True
 
 
+@lru_cache(maxsize=None)
 def _subgroups_with_elements(q, n, order):
     """(subgroups, elements tensor [S, E, n], support tensor) cached.
 
@@ -301,11 +304,8 @@ def _subgroups_with_elements(q, n, order):
     support tensor is (elements != 0) as int64, used by the fast path
     when CG values only depend on which components are nonzero.
     """
-    key = (q, n, order)
-    if key in _tensor_cache:
-        return _tensor_cache[key]
     subs = enumerate_subgroups((q,) * n, order)
-    p, k = _prime_power(q)
+    ((p, k),) = prime_powers(q)
     if k == 1 and subs and subs[0].gens:
         # F_p case: every subgroup has exactly t echelon generators
         from itertools import product as _product
@@ -321,7 +321,6 @@ def _subgroups_with_elements(q, n, order):
             assert len(els) == order
             arr[i] = np.array(els, dtype=np.int16)
     support = (arr != 0).astype(np.int64)
-    _tensor_cache[key] = (subs, arr, support)
     return subs, arr, support
 
 
@@ -341,8 +340,7 @@ def _value_tables(inst):
         row_lo, row_hi = [], []
         for c in range(q):
             chi = _component_character(inst, c)
-            v = satellite_cg_value(inst.profile, inst.pattern, chi, knot)
-            iv = v if isinstance(v, RatInterval) else RatInterval.point(v)
+            iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
             if sign < 0:
                 iv = -iv
             row_lo.append(iv.lo)
@@ -568,17 +566,8 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
 
 def _prime_power_characters(group_order):
     """All nonzero characters of Z_n of prime-power order, as value lists."""
-    n = group_order
     chars = []
-    p = 2
-    rest = n
-    while rest > 1:
-        while rest % p:
-            p += 1
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
+    for p, k in prime_powers(group_order):
         q = p ** k
         for c in range(1, q):
             chars.append(Character((Fraction(c, q),)))
@@ -617,8 +606,7 @@ def select_subsequence(family, cover, profile):
     for e in family:
         lows, highs = [], []
         for chi in chars:
-            v = satellite_cg_value(profile, cover, chi, e)
-            iv = v if isinstance(v, RatInterval) else RatInterval.point(v)
+            iv = _cg_interval(profile, cover, chi, e)
             lows.append(iv.lo)
             highs.append(iv.hi)
         ranges.append((min(lows), max(highs)))

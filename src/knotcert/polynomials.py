@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 def _trim(coeffs):
@@ -114,21 +113,8 @@ class IntPoly:
             out.append(int(c))
         return IntPoly(out)
 
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def reversed(self):
-        """Coefficient reversal t**deg * p(1/t)."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
     def is_palindromic(self):
         return self.coeffs == tuple(reversed(self.coeffs))
-
-    def derivative(self):
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __str__(self):
         if not self.coeffs:
@@ -154,17 +140,31 @@ ONE = IntPoly((1,))
 T = IntPoly((0, 1))
 
 
+def prime_powers(n):
+    """Factorization of n as ((p, k), ...), primes increasing; () for n < 2.
+
+    n is a prime power exactly when the result has one entry.
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def euler_phi(n):
     assert n >= 1
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    result = n
+    for p, _ in prime_powers(n):
+        result -= result // p
     return result
 
 
@@ -268,7 +268,7 @@ def det_poly(rows):
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (Sturm chains)
+# rational-coefficient helpers (Sturm chains, cyclotomic-field inverses)
 
 def _qtrim(cs):
     cs = list(cs)
@@ -293,6 +293,24 @@ def _qdivmod(a, b):
             for j, bj in enumerate(b):
                 rem[k + j] -= c * bj
     return _qtrim(quo), _qtrim(rem)
+
+
+def _qmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _qtrim(out)
+
+
+def _qsub(a, b):
+    n = max(len(a), len(b))
+    a = tuple(a) + (Fraction(0),) * (n - len(a))
+    b = tuple(b) + (Fraction(0),) * (n - len(b))
+    return _qtrim(tuple(x - y for x, y in zip(a, b)))
 
 
 def _qeval(cs, x):

@@ -43,7 +43,10 @@ from .errors import (
 )
 from .knots import KnotExpr, SeifertMatrix, evaluate, alexander_of_matrix, _alexander_of_block
 from .polynomials import (
-    IntPoly,
+    _qdivmod,
+    _qmul,
+    _qsub,
+    _qtrim,
     compact_circle_form,
     cyclotomic,
     divides,
@@ -338,13 +341,13 @@ class _CyclotomicField:
         # extended Euclid in Q[t] against Phi_d
         assert not self.is_zero(a)
         phi = tuple(Fraction(c) for c in self.phi.coeffs)
-        r0, r1 = phi, _qtrim_local(a)
+        r0, r1 = phi, _qtrim(a)
         s0, s1 = (), (Fraction(1),)
         while True:
-            q, r = _qdivmod_local(r0, r1)
+            q, r = _qdivmod(r0, r1)
             if not r:
                 break
-            s = _qsub_local(s0, _qmul_local(q, s1))
+            s = _qsub(s0, _qmul(q, s1))
             r0, r1, s0, s1 = r1, r, s1, s
         lead = r1[-1]
         inv_poly = tuple(c / lead for c in s1)
@@ -360,47 +363,6 @@ class _CyclotomicField:
         check = self.mul(res, a)
         assert check[0] == 1 and all(c == 0 for c in check[1:])
         return res
-
-
-def _qtrim_local(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _qdivmod_local(a, b):
-    a, b = _qtrim_local(a), _qtrim_local(b)
-    rem = list(a)
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return (), tuple(rem)
-    quo = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(b) - 1] / b[-1]
-        quo[k] = c
-        if c:
-            for jj, bj in enumerate(b):
-                rem[k + jj] -= c * bj
-    return _qtrim_local(quo), _qtrim_local(rem)
-
-
-def _qmul_local(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _qtrim_local(out)
-
-
-def _qsub_local(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (Fraction(0),) * (n - len(a))
-    b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _qtrim_local(tuple(x - y for x, y in zip(a, b)))
 
 
 @lru_cache(maxsize=256)
@@ -447,13 +409,10 @@ def _exact_nullity(block, j, d):
 # per-block certified signature
 
 _PRECISIONS = (113, 240, 480, 960, 1920, 3840)
-_block_cache = {}
 
 
+@lru_cache(maxsize=None)
 def _block_signature(block, x):
-    key = (block, x)
-    if key in _block_cache:
-        return _block_cache[key]
     j, d = x.numerator, x.denominator
     delta = _alexander_of_block(block)
     nullity = 0
@@ -473,7 +432,6 @@ def _block_signature(block, x):
                 f"could not certify eigenvalue signs at x = {x} "
                 f"(size {len(block)}, precision cap {_PRECISIONS[-1]} bits)"
             )
-    _block_cache[key] = sig
     return sig
 
 
@@ -572,6 +530,19 @@ def _circle_root_locus(delta):
     return sorted(set(locus))
 
 
+def _step_function(jumps, value_at, den_bound):
+    """Sample value_at once inside each gap of the sorted jumps and at each jump."""
+    cuts = [Fraction(0)] + jumps + [HALF]
+    interval_values = [
+        value_at(HALF if hi == HALF else simplest_between(lo, hi))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    jump_values = [value_at(x) for x in jumps]
+    return SignatureFunction(
+        tuple(jumps), tuple(interval_values), tuple(jump_values), den_bound
+    )
+
+
 def signature_function(e, den_bound):
     """Exact signature step function of a knot expression on (0, 1/2]."""
     if not isinstance(den_bound, int) or den_bound < 2:
@@ -581,14 +552,8 @@ def signature_function(e, den_bound):
         return SignatureFunction.zero(den_bound)
     delta = alexander_of_matrix(v)
     jumps = _circle_root_locus(delta)
-    cuts = [Fraction(0)] + jumps + [HALF]
-    interval_values = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        sample = HALF if hi == HALF else simplest_between(lo, hi)
-        interval_values.append(signature_of_matrix(v, sample))
-    jump_values = [signature_of_matrix(v, x) for x in jumps]
-    return SignatureFunction(
-        tuple(jumps), tuple(interval_values), tuple(jump_values), den_bound
+    return _step_function(
+        jumps, lambda x: signature_of_matrix(v, x), den_bound
     )
 
 
@@ -619,19 +584,10 @@ def satellite_signature_function(w, pattern_sig, companion, den_bound=None):
                 if x > 0:
                     jumps.add(x)
                 m += 1
-    jumps = sorted(jumps)
-
-    def value_at(x):
-        return pattern_sig.evaluate(x) + k_sig.evaluate(aw * x)
-
-    cuts = [Fraction(0)] + jumps + [HALF]
-    interval_values = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        sample = HALF if hi == HALF else simplest_between(lo, hi)
-        interval_values.append(value_at(sample))
-    jump_values = [value_at(x) for x in jumps]
-    return SignatureFunction(
-        tuple(jumps), tuple(interval_values), tuple(jump_values), bound
+    return _step_function(
+        sorted(jumps),
+        lambda x: pattern_sig.evaluate(x) + k_sig.evaluate(aw * x),
+        bound,
     )
 
 

@@ -21,27 +21,7 @@ from itertools import combinations, product
 
 from .errors import HypothesisViolation
 from .covers import FiniteAbelianGroup
-
-
-def _prime_power(q):
-    """q = p^k with p prime, else None."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        return None
-    return p, k
+from .polynomials import prime_powers
 
 
 def _vp(x, p):
@@ -61,9 +41,9 @@ def howell_form(rows, n, modulus):
     this normal form is unique for the span, so equal spans give equal
     tuples.
     """
-    pp = _prime_power(modulus)
-    assert pp is not None, "Howell reduction implemented for prime-power moduli"
-    p, k = pp
+    pp = prime_powers(modulus)
+    assert len(pp) == 1, "Howell reduction implemented for prime-power moduli"
+    ((p, k),) = pp
     work = []
     for r in rows:
         rr = tuple(x % modulus for x in r)
@@ -127,7 +107,7 @@ class Subgroup:
     def pivot_data(self):
         if not self.gens:
             return ()
-        p, _k = _prime_power(self.modulus)
+        ((p, _k),) = prime_powers(self.modulus)
         out = []
         for row in self.gens:
             col = next(j for j, x in enumerate(row) if x)
@@ -138,7 +118,7 @@ class Subgroup:
     def order(self):
         if not self.gens:
             return 1
-        p, k = _prime_power(self.modulus)
+        ((p, k),) = prime_powers(self.modulus)
         total = 1
         for _, v in self.pivot_data:
             total *= p ** (k - v)
@@ -147,7 +127,7 @@ class Subgroup:
     def row_orders(self):
         if not self.gens:
             return ()
-        p, k = _prime_power(self.modulus)
+        ((p, k),) = prime_powers(self.modulus)
         return tuple(p ** (k - v) for _, v in self.pivot_data)
 
     def elements(self):
@@ -167,7 +147,7 @@ class Subgroup:
     def contains(self, vec):
         if not self.gens:
             return not any(x % self.modulus for x in vec) if self.modulus > 1 else True
-        p, k = _prime_power(self.modulus)
+        ((p, k),) = prime_powers(self.modulus)
         v = [x % self.modulus for x in vec]
         for (col, val), row in zip(self.pivot_data, self.gens):
             lead = p ** val
@@ -217,17 +197,17 @@ def enumerate_subgroups(group, target_order):
         raise HypothesisViolation(
             "subgroup enumeration needs a homocyclic group (Z_{p^k})^N"
         )
-    pp = _prime_power(q)
-    if pp is None:
+    pp = prime_powers(q)
+    if len(pp) != 1:
         raise HypothesisViolation(f"{q} is not a prime power")
-    p, k = pp
+    ((p, k),) = pp
     n = len(factors)
-    tpp = _prime_power(target_order) if target_order > 1 else (p, 0)
-    if target_order != 1 and (tpp is None or tpp[0] != p):
+    tpp = prime_powers(target_order) if target_order > 1 else ((p, 0),)
+    if len(tpp) != 1 or tpp[0][0] != p:
         raise HypothesisViolation(
             f"target order {target_order} is not a power of {p}"
         )
-    t = tpp[1]
+    t = tpp[0][1]
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
     if t == 0:

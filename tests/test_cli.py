@@ -162,6 +162,14 @@ def test_bad_expression_exit_1(capsys):
     assert "odd" in err
 
 
+def test_deep_nesting_exit_1(capsys):
+    deep = "mirror(" * 3000 + "torus(2,3)" + ")" * 3000
+    code, out, err = run_cli(capsys, ["alex", deep])
+    assert code == 1
+    assert out == ""
+    assert err == "error: expression nests too deeply\n"
+
+
 def test_missing_argument_exit_1(capsys):
     code, _, err = run_cli(capsys, ["sig"])
     assert code == 1

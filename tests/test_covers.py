@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
-from conftest import knot_exprs
+from strategies import knot_exprs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import knotcert as kc
-from conftest import knot_exprs
+from strategies import knot_exprs
 from knotcert.polynomials import det_int
 from oracles import sympy_alexander_coeffs
 
@@ -102,6 +102,11 @@ def test_multiple_iterates_connected_sum():
         kc.multiple(0, kc.torus(2, 3))
     ).size == 0
     assert kc.evaluate(kc.multiple(1, kc.torus(2, 5))) == kc.evaluate(kc.torus(2, 5))
+    k = kc.connected_sum(kc.torus(2, 3), kc.mirror(kc.torus(2, 5)))
+    assert kc.evaluate(kc.multiple(3, k)) == kc.evaluate(kc.connected_sum(k, k, k))
+    assert kc.evaluate(kc.multiple(-2, k)) == kc.evaluate(
+        kc.connected_sum(kc.mirror(k), kc.mirror(k))
+    )
 
 
 # ---------------------------------------------------------------------------

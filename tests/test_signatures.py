@@ -1,5 +1,6 @@
 """Exact Levine-Tristram signatures and signature step functions."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
-from conftest import knot_exprs, torus_exprs, unit_fractions
+from knotcert import signatures
+from strategies import knot_exprs, torus_exprs, unit_fractions
 from oracles import float_signature
+from test_acceptance import _SIGNATURE_CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,43 @@ def test_signature_of_matrix_agrees_with_expression_route():
         v = kc.evaluate(e)
         for x in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)):
             assert kc.signature_of_matrix(v, x) == kc.levine_tristram(e, x)
+
+
+def test_mpmath_fallback_reproduces_acceptance_sweeps(monkeypatch):
+    # the criterion-3 points (every tenth: the whole sweep takes about 35 s
+    # through mpmath) and the criterion-4 step functions, first on the
+    # double-precision path, then with that path declining every block
+    rng = random.Random(20260825)
+    points = []
+    for s in _SIGNATURE_CORPUS:
+        for _ in range(50):
+            q = rng.randint(2, 60)
+            points.append((kc.parse_knot(s), Fraction(rng.randint(1, q - 1), q)))
+    points = points[::10]
+    mirrors = [kc.mirror(kc.torus(2, n)) for n in (3, 5, 7, 9)]
+
+    def sweep():
+        return ([kc.levine_tristram(e, x) for e, x in points],
+                [kc.signature_function(e, 200) for e in mirrors])
+
+    want = sweep()
+    mp_calls = []
+    certify_mp = signatures._certify_mp
+
+    def counted_mp(*args):
+        mp_calls.append(args)
+        return certify_mp(*args)
+
+    monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
+    monkeypatch.setattr(signatures, "_certify_mp", counted_mp)
+    signatures._block_signature.cache_clear()
+    try:
+        got = sweep()
+    finally:
+        signatures._block_signature.cache_clear()
+    assert got == want
+    # the fallback ran, singular points (nonzero nullity) included
+    assert any(nullity for _, _, _, nullity, _ in mp_calls)
 
 
 # ---------------------------------------------------------------------------
