@@ -257,11 +257,7 @@ def characters_of_order(group, p, max_power=None):
         )
     grids = []
     for d in group.factors:
-        k = 0
-        dd = d
-        while dd % p == 0:
-            k += 1
-            dd //= p
+        k = dict(prime_powers(d)).get(p, 0)
         if max_power is not None:
             k = min(k, max_power)
         q = p ** k

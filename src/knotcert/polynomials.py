@@ -140,10 +140,12 @@ ONE = IntPoly((1,))
 T = IntPoly((0, 1))
 
 
+@lru_cache(maxsize=256)
 def prime_powers(n):
     """Factorization of n as ((p, k), ...), primes increasing; () for n < 2.
 
-    n is a prime power exactly when the result has one entry.
+    n is a prime power exactly when the result has one entry.  Cached:
+    subgroup enumeration asks about the same modulus for every candidate.
     """
     out = []
     p = 2
