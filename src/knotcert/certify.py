@@ -16,7 +16,6 @@ not share the vectorized search code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,6 +33,7 @@ from .obstruction import (
     CGProfile,
     ObstructionInstance,
     RatInterval,
+    _canonical_json,
     _component_character,
     check_slice_obstruction,
     obstruction_sum,
@@ -59,10 +59,6 @@ CONVENTIONS = {
 
 def _frac(f):
     return str(Fraction(f))
-
-
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _witnesses_json(witnesses):

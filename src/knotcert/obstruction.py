@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -308,11 +309,10 @@ def _subgroups_with_elements(q, n, order):
     ((p, k),) = prime_powers(q)
     if k == 1 and subs and subs[0].gens:
         # F_p case: every subgroup has exactly t echelon generators
-        from itertools import product as _product
         t = len(subs[0].gens)
         assert all(len(s.gens) == t for s in subs)
         gens = np.array([s.gens for s in subs], dtype=np.int64)
-        coeffs = np.array(list(_product(range(p), repeat=t)), dtype=np.int64)
+        coeffs = np.array(list(product(range(p), repeat=t)), dtype=np.int64)
         arr = (np.einsum("et,stn->sen", coeffs, gens) % p).astype(np.int16)
     else:
         arr = np.zeros((len(subs), order, n), dtype=np.int16)
@@ -379,9 +379,18 @@ def _self_annihilating_mask(inst, subs):
 # canonical witness serialization
 #
 # A witness is (subgroup generators, character coefficient tuple, value).
-# Its JSON form below is the one certificates embed; the digest of a
-# witness family is sha256 over the canonical (sorted keys, no spaces)
-# JSON array, streamed so huge families never have to live in memory.
+# Its canonical JSON form (sorted keys, no spaces) is the one
+# certificates embed; the digest of a witness family is sha256 over the
+# canonical JSON array of those forms.  Inline witnesses go through
+# witness_json; a digest-only family is assembled from pre-encoded
+# pieces instead (_witness_texts): generator text cached per subgroup,
+# chi text looked up by the base-q code of the coefficient row, and one
+# value text per distinct value, so no witness needs a dict, a
+# json.dumps or a Fraction of its own.
+
+def _canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
 
 def value_json(v):
     if isinstance(v, RatInterval):
@@ -397,20 +406,62 @@ def witness_json(gens, coeffs, value):
     }
 
 
-def witness_list_digest(entries):
-    """sha256 hex digest of the canonical JSON array of witness dicts."""
-    sha = hashlib.sha256()
-    sha.update(b"[")
-    first = True
-    for entry in entries:
-        if not first:
-            sha.update(b",")
-        first = False
-        sha.update(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
-        )
-    sha.update(b"]")
-    return sha.hexdigest()
+def _int_list_text(values):
+    """Canonical JSON text of a list of Python ints."""
+    return "[" + ",".join(map(str, values)) + "]"
+
+
+@lru_cache(maxsize=None)
+def _subgroup_gen_texts(q, n, order):
+    """Canonical JSON text of each subgroup's generator rows.
+
+    Listed in the enumeration order of _subgroups_with_elements, so
+    every combo (and every recomputation) with the same (q, n, order)
+    shares one list.
+    """
+    subs = _subgroups_with_elements(q, n, order)[0]
+    # generator rows repeat across subgroups: encode each distinct row once
+    rows = {r: _int_list_text(r) for r in {r for s in subs for r in s.gens}}
+    return tuple("[" + ",".join([rows[r] for r in s.gens]) + "]" for s in subs)
+
+
+@lru_cache(maxsize=None)
+def _chi_texts(q, n):
+    """Canonical JSON text of every vector of (Z_q)^n, by base-q code."""
+    return tuple(_int_list_text(v) for v in product(range(q), repeat=n))
+
+
+def _witness_texts(q, n, order, picked, coeffs, lo, hi, den):
+    """Canonical JSON text of each witness, in family order.
+
+    picked indexes the swept subgroups in enumeration order, coeffs is
+    the int array of witness coefficient rows, and lo/hi/den give each
+    witness value as the integer numerators lo/den and hi/den.  A
+    generator: the pieces are built when the digest starts consuming it.
+    """
+    gen_t = _subgroup_gen_texts(q, n, order)
+    chi_t = _chi_texts(q, n)
+    codes = (coeffs.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)).tolist()
+    values = list(zip(lo.tolist(), hi.tolist()))
+    val_t = {
+        (a, b): _canonical_json(value_json(
+            RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()))
+        for a, b in set(values)
+    }
+    # keys in sorted order, as _canonical_json(witness_json(...)) writes them
+    for g, c, v in zip(picked, codes, values):
+        yield f'{{"chi":{chi_t[c]},"subgroup":{gen_t[g]},"value":{val_t[v]}}}'
+
+
+def witness_list_digest(texts):
+    """sha256 hex digest of the canonical JSON array of a witness family.
+
+    texts yields each witness's canonical JSON text (_canonical_json of
+    its witness_json dict, or the same bytes from _witness_texts), one
+    item per witness in family order.
+    """
+    blob = "[" + ",".join(texts) + "]"
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -525,33 +576,25 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         )
     first = np.argmax(witness_mask, axis=1)
     rows = np.arange(sub_arr.shape[0])
-    wit_coeffs = sub_arr[rows, first].tolist()
-    wlo = sums_lo[rows, first].tolist()
-    whi = wlo if exact_tables else sums_hi[rows, first].tolist()
-    chosen = subs if full else [subs[i] for i in picked]
-
-    def witness_values():
-        if exact_tables and den == 1:
-            for v in wlo:
-                yield Fraction(v)
-        elif exact_tables:
-            for v in wlo:
-                yield Fraction(v, den)
-        else:
-            for a, b in zip(wlo, whi):
-                yield RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()
-
-    if witness_cap is not None and len(chosen) > witness_cap:
-        digest = witness_list_digest(
-            witness_json(s.gens, wit_coeffs[i], v)
-            for i, (s, v) in enumerate(zip(chosen, witness_values()))
-        )
+    if witness_cap is not None and len(picked) > witness_cap:
+        digest = witness_list_digest(_witness_texts(
+            q, total, target, picked, sub_arr[rows, first],
+            sums_lo[rows, first], sums_hi[rows, first], den,
+        ))
         witnesses = ()
     else:
+        wit_coeffs = sub_arr[rows, first].tolist()
+        wlo = sums_lo[rows, first].tolist()
+        if exact_tables:
+            values = [Fraction(v, den) for v in wlo]
+        else:
+            whi = sums_hi[rows, first].tolist()
+            values = [RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()
+                      for a, b in zip(wlo, whi)]
         digest = None
         witnesses = tuple(
-            (s.gens, tuple(wit_coeffs[i]), v)
-            for i, (s, v) in enumerate(zip(chosen, witness_values()))
+            (subs[i].gens, tuple(c), v)
+            for i, c, v in zip(picked, wit_coeffs, values)
         )
     return SliceObstructionResult(
         True, "witnessed", inst.p, inst.k, total, len(picked),

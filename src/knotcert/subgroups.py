@@ -184,6 +184,8 @@ def enumerate_subgroups(group, target_order):
     Returned as Subgroup objects with canonical generators, sorted, no
     duplicates.
     """
+    if target_order < 1:
+        raise HypothesisViolation(f"target order {target_order} is not positive")
     if isinstance(group, FiniteAbelianGroup):
         factors = group.factors
     else:

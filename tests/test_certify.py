@@ -186,7 +186,8 @@ def test_witness_cap_replaces_lists_with_digests():
         twin = by_coeffs[tuple(combo["coefficients"])]
         assert combo["witness_count"] == twin["subgroup_count"]
         assert combo["witness_digest"] == obstruction.witness_list_digest(
-            twin["witnesses"]
+            json.dumps(w, sort_keys=True, separators=(",", ":"))
+            for w in twin["witnesses"]
         )
     ok, problems = kc.verify_certificate(capped)
     assert ok, problems

@@ -153,6 +153,14 @@ def test_subgroups_bad_order_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_subgroups_nonpositive_order_exit_2(capsys, order):
+    code, out, err = run_cli(capsys, ["subgroups", "3", "2", order])
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
 # ------------------------------------------------------- input errors
 
 

@@ -311,11 +311,78 @@ def test_witness_cap_digest_commits_to_full_list():
     ]
     blob = json.dumps(entries, sort_keys=True, separators=(",", ":"))
     assert res_capped.witness_digest == hashlib.sha256(blob.encode()).hexdigest()
-    assert res_capped.witness_digest == obstruction.witness_list_digest(entries)
+    assert res_capped.witness_digest == obstruction.witness_list_digest(
+        json.dumps(e, sort_keys=True, separators=(",", ":")) for e in entries
+    )
     # a generous cap keeps the witnesses inline
     res_loose = kc.check_slice_obstruction(exact_inst(), witness_cap=10)
     assert res_loose.witnesses == res_full.witnesses
     assert res_loose.witness_digest is None
+
+
+def _dict_oracle_digest(witnesses):
+    entries = [obstruction.witness_json(g, c, v) for g, c, v in witnesses]
+    blob = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _digest_case(name):
+    """(instance, sweep kwargs, flat shortcut on, property of the values)."""
+    mt3 = kc.mirror(kc.torus(2, 3))
+    m2, m3 = kc.multiple(2, mt3), kc.multiple(3, mt3)
+    if name == "bounded-intervals":
+        inst = kc.ObstructionInstance(
+            wh11(), kc.CGProfile.bounded(Fraction(1, 2)),
+            (m2, m3), (kc.torus(2, 5), kc.torus(2, 3)), 3, 1
+        )
+        return inst, {}, True, lambda v: isinstance(v, kc.RatInterval)
+    if name == "denominator-4":
+        # Z_5 with fractional taubar values: the gather sweep, den = 4
+        prof = kc.CGProfile.exact(
+            [((Fraction(1, 5),), Fraction(13, 2)), ((Fraction(2, 5),), Fraction(9, 4))]
+        )
+        inst = kc.ObstructionInstance(
+            kc.whitehead_cover(1, -1), prof,
+            (kc.unknot(), mt3), (kc.torus(2, 3), kc.torus(2, 5)), 5, 1
+        )
+        return inst, {}, True, lambda v: v.denominator > 1
+    sa = kc.ObstructionInstance(
+        wh11(), kc.CGProfile.zero(),
+        (kc.torus(2, 3), m2), (mt3, kc.torus(2, 5)), 3, 1
+    )
+    if name == "self-annihilating":
+        return sa, {"self_annihilating_only": True}, True, None
+    if name == "gather-path":
+        return sa, {}, False, None
+    assert name == "z9"
+    inst = kc.ObstructionInstance(
+        kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
+        (m2,), (kc.multiple(5, mt3),), 3, 2
+    )
+    return inst, {}, True, None
+
+
+@pytest.mark.parametrize("name", [
+    "bounded-intervals", "denominator-4", "self-annihilating",
+    "gather-path", "z9",
+])
+def test_capped_digest_matches_dict_oracle(monkeypatch, name):
+    # the digest-only family is assembled from cached text pieces; an
+    # independent json.dumps over witness_json dicts must hash the same
+    inst, kwargs, flat, prop = _digest_case(name)
+    monkeypatch.setattr(obstruction, "_FLAT_FAST_PATH", flat)
+    full = kc.check_slice_obstruction(inst, **kwargs)
+    capped = kc.check_slice_obstruction(inst, witness_cap=2, **kwargs)
+    assert full.obstructed and len(full.witnesses) == full.subgroup_count > 2
+    assert capped.witnesses == () and capped.subgroup_count == full.subgroup_count
+    assert capped.witness_digest == _dict_oracle_digest(full.witnesses)
+    if prop is not None:
+        assert any(prop(v) for _, _, v in full.witnesses)
+    if kwargs.get("self_annihilating_only"):
+        # the swept subset is a proper, non-initial part of the family
+        everything = kc.check_slice_obstruction(inst)
+        assert full.subgroup_count < everything.subgroup_count
+        assert full.witnesses[0][0] != everything.witnesses[0][0]
 
 
 def test_scaling_widens_witness_values():

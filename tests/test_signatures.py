@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
-from knotcert import signatures
+from knotcert import cli, signatures
 from strategies import knot_exprs, torus_exprs, unit_fractions
 from oracles import float_signature
 from test_acceptance import _SIGNATURE_CORPUS
@@ -114,6 +114,23 @@ def test_mpmath_fallback_reproduces_acceptance_sweeps(monkeypatch):
     assert got == want
     # the fallback ran, singular points (nonzero nullity) included
     assert any(nullity for _, _, _, nullity, _ in mp_calls)
+
+
+def test_precision_exhausted_maps_to_exit_3(monkeypatch, capsys):
+    # the double path declines every block and the mpmath ladder stops at
+    # 4 bits, too coarse to keep the trefoil's eigenvalues off 0
+    monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
+    monkeypatch.setattr(signatures, "_PRECISIONS", (2, 4))
+    signatures._block_signature.cache_clear()
+    try:
+        with pytest.raises(kc.PrecisionExhausted, match="precision cap 4 bits"):
+            signatures.signature_of_matrix(
+                kc.evaluate(kc.torus(2, 3)), Fraction(1, 3)
+            )
+        assert cli.run(["sig", "torus(2,3)", "--at", "1/3"]) == 3
+    finally:
+        signatures._block_signature.cache_clear()
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
