@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 import numpy as np
@@ -453,15 +453,28 @@ def _witness_texts(q, n, order, picked, coeffs, lo, hi, den):
         yield f'{{"chi":{chi_t[c]},"subgroup":{gen_t[g]},"value":{val_t[v]}}}'
 
 
+# witnesses per hashed chunk: about 100 kB of text, small enough to stay
+# in cache, large enough that sha256 calls cost nothing per witness
+_DIGEST_CHUNK = 1024
+
+
 def witness_list_digest(texts):
     """sha256 hex digest of the canonical JSON array of a witness family.
 
     texts yields each witness's canonical JSON text (_canonical_json of
     its witness_json dict, or the same bytes from _witness_texts), one
-    item per witness in family order.
+    item per witness in family order.  The array is hashed in chunks of
+    _DIGEST_CHUNK witnesses, so a family of any size needs only one
+    chunk's text in memory at a time.
     """
-    blob = "[" + ",".join(texts) + "]"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    sha = hashlib.sha256(b"[")
+    texts = iter(texts)
+    sep = ""
+    while chunk := list(islice(texts, _DIGEST_CHUNK)):
+        sha.update((sep + ",".join(chunk)).encode())
+        sep = ","
+    sha.update(b"]")
+    return sha.hexdigest()
 
 
 @dataclass(frozen=True)

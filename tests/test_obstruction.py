@@ -320,6 +320,16 @@ def test_witness_cap_digest_commits_to_full_list():
     assert res_loose.witness_digest is None
 
 
+def test_witness_list_digest_across_chunk_boundaries():
+    chunk = obstruction._DIGEST_CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        texts = [f'{{"i":{i}}}' for i in range(count)]
+        blob = "[" + ",".join(texts) + "]"
+        assert obstruction.witness_list_digest(iter(texts)) == (
+            hashlib.sha256(blob.encode()).hexdigest()
+        )
+
+
 def _dict_oracle_digest(witnesses):
     entries = [obstruction.witness_json(g, c, v) for g, c, v in witnesses]
     blob = json.dumps(entries, sort_keys=True, separators=(",", ":"))
