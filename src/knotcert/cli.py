@@ -180,6 +180,10 @@ def _whitehead_report(a, b):
 
 
 def _subgroup_report(args):
+    if args.limit < 0:
+        raise ExpressionError(f"--limit must be >= 0, got {args.limit}")
+    if args.rank < 0:
+        raise HypothesisViolation(f"rank {args.rank} is negative")
     subs = enumerate_subgroups((args.modulus,) * args.rank, args.order)
     lines = [
         f"{len(subs)} subgroups of (Z_{args.modulus})^{args.rank} "

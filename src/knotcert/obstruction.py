@@ -282,14 +282,10 @@ def obstruction_sum(inst, chi_tuple):
 # vectorized witness search over all candidate metabolizers
 
 # Two sweep kernels (the support-only matvec and the per-coefficient
-# gather) and two tensor builders (one einsum over shared echelon shapes
-# for k = 1, Subgroup.elements() for k >= 2) are kept on purpose; the
-# code picks between them from the value tables and from k.  Folding
-# each pair into its general member keeps the certificates
-# byte-identical, but on a 2-core machine it slowed the (Z_3)^6 sweep
-# of 33,880 subgroups from about 485 ms to about 540 ms, and each
-# (Z_3)^6 tensor build by about 0.2 s from per-subgroup row_orders()
-# calls: roughly 10 % of a Z_3 certify round trip.
+# gather) are kept on purpose; the code picks between them from the value
+# tables.  Folding them into the gather kernel keeps the certificates
+# byte-identical, but on a 2-core machine it slowed the (Z_3)^6 sweep of
+# 33,880 subgroups from about 485 ms to about 540 ms.
 
 # self-check hook: set False to force the per-coefficient gather path even
 # when the support-only shortcut applies (they must agree)
@@ -301,25 +297,32 @@ def _subgroups_with_elements(q, n, order):
     """(subgroups, elements tensor [S, E, n], support tensor) cached.
 
     The elements tensor lists every member of every subgroup in the
-    deterministic coefficient-grid order of Subgroup.elements(); the
-    support tensor is (elements != 0) as int64, used by the fast path
-    when CG values only depend on which components are nonzero.
+    deterministic coefficient-grid order of Subgroup.elements(), built
+    by one matrix product per row-order pattern; the support tensor is
+    (elements != 0) as int64, used by the fast path when CG values only
+    depend on which components are nonzero.
     """
     subs = enumerate_subgroups((q,) * n, order)
-    ((p, k),) = prime_powers(q)
-    if k == 1 and subs and subs[0].gens:
-        # F_p case: every subgroup has exactly t echelon generators
-        t = len(subs[0].gens)
-        assert all(len(s.gens) == t for s in subs)
-        gens = np.array([s.gens for s in subs], dtype=np.int64)
-        coeffs = np.array(list(product(range(p), repeat=t)), dtype=np.int64)
-        arr = (np.einsum("et,stn->sen", coeffs, gens) % p).astype(np.int16)
-    else:
-        arr = np.zeros((len(subs), order, n), dtype=np.int16)
-        for i, s in enumerate(subs):
-            els = s.elements()
-            assert len(els) == order
-            arr[i] = np.array(els, dtype=np.int16)
+    arr = np.empty((len(subs), order, n), dtype=np.int16)
+    by_rank = {}
+    for i, s in enumerate(subs):
+        by_rank.setdefault(len(s.gens), []).append(i)
+    for r, members in by_rank.items():
+        members = np.array(members)
+        gens = np.array([subs[i].gens for i in members], dtype=np.int64)
+        gens = gens.reshape(len(members), r, n)
+        # leading entry of every row, one integer key per row-order pattern
+        leads = np.take_along_axis(
+            gens, (gens != 0).argmax(axis=2)[..., None], axis=2
+        )[..., 0]
+        keys = leads @ q ** np.arange(r, dtype=np.int64)
+        for key in np.unique(keys):
+            same = keys == key
+            orders = (q // leads[same][0]).tolist()
+            coeffs = np.array(list(product(*map(range, orders))), dtype=np.int64)
+            block = coeffs @ gens[same]
+            arr[members[same]] = np.remainder(block, q, out=block)
+            del block  # int64, four times arr's size: free it early
     support = (arr != 0).astype(np.int64)
     return subs, arr, support
 

@@ -227,7 +227,12 @@ def _certify_mp(block, j, d, nullity, prec):
         for r in range(n):
             for c in range(n):
                 a_float[r, c] = (1 - w) * block[r][c] + (1 - mp.conj(w)) * block[c][r]
-        _, q = mp.eighe(a_float)
+        try:
+            _, q = mp.eighe(a_float)
+        except RuntimeError:
+            # the QL iteration did not converge at this precision; the
+            # ladder retries higher up, and no sign is taken from it
+            return None
     old = mp.iv.prec
     try:
         mp.iv.prec = prec

@@ -1,13 +1,16 @@
 """Exhaustive subgroup enumeration in homocyclic p-groups (Z_{p^k})^N.
 
-Two regimes:
-
-* k = 1: subgroups are F_p-subspaces; we enumerate them directly as
-  reduced row echelon forms (pivot-column patterns times free entries),
-  which hits each subspace exactly once.
-* k >= 2: breadth-first closure over added generators, deduplicated by
-  the Howell normal form of the generating rows, which is the
-  canonical echelon form for row spans over Z_{p^k}.
+Every subgroup has exactly one Howell form (see howell_form), so the
+subgroups of order p^t are enumerated as Howell forms directly, for
+every k alike.  A form is a list of rows with strictly increasing pivot
+columns c_1 < ... < c_s; row i is zero before c_i, has leading entry
+p^{v_i} with 0 <= v_i < k and sum(k - v_i) = t, has its entry at each
+later pivot c_j in [0, p^{v_j}), and satisfies the Howell condition
+that p^{k - v_i} * row_i lies in the span of the rows after it.  The
+rows are built from the last pivot backwards, so each candidate row
+only needs a membership test against the finished suffix.  For k = 1
+every v_i is 0, the condition holds trivially and the forms are the
+reduced row echelon forms of F_p-subspaces.
 
 Subgroup orders here are tiny (the obstruction search caps the ambient
 group order), so clarity wins over asymptotics everywhere except the
@@ -17,7 +20,8 @@ element-tensor helpers used by the witness search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
+from math import prod
 
 from .errors import HypothesisViolation
 from .covers import FiniteAbelianGroup
@@ -116,13 +120,7 @@ class Subgroup:
 
     @property
     def order(self):
-        if not self.gens:
-            return 1
-        ((p, k),) = prime_powers(self.modulus)
-        total = 1
-        for _, v in self.pivot_data:
-            total *= p ** (k - v)
-        return total
+        return prod(self.row_orders())
 
     def row_orders(self):
         if not self.gens:
@@ -159,23 +157,33 @@ class Subgroup:
         return not any(v)
 
 
-def _rref_subspaces(p, n, dim):
-    """All reduced-row-echelon generator matrices of F_p^n subspaces."""
-    out = []
-    for pivots in combinations(range(n), dim):
-        free = []
-        for i, pc in enumerate(pivots):
-            for j in range(pc + 1, n):
-                if j not in pivots:
-                    free.append((i, j))
-        for assignment in product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(dim)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, j), val in zip(free, assignment):
-                rows[i][j] = val
-            out.append(tuple(tuple(r) for r in rows))
-    return out
+def _howell_forms(p, k, n, t):
+    """Every Howell form of order p^t in (Z_{p^k})^n, unsorted."""
+    q = p ** k
+
+    def extend(suffix, limit, need):
+        # suffix is a finished form with every pivot at or after limit;
+        # prepend rows with pivots before limit until the order is p^t
+        if need == 0:
+            yield suffix
+            return
+        span = Subgroup(q, n, suffix)
+        ranges = [range(q)] * n
+        for col, val in span.pivot_data:
+            ranges[col] = range(p ** val)
+        for col in range(limit):
+            for v in range(max(0, k - need), k):
+                rest = need - (k - v)
+                if rest > col * k:
+                    continue  # too few columns left before col
+                head = (0,) * col + (p ** v,)
+                for tail in product(*ranges[col + 1:]):
+                    row = head + tail
+                    # v = 0: p^k * row is 0, which every span contains
+                    if v == 0 or span.contains([x * p ** (k - v) for x in row]):
+                        yield from extend((row,) + suffix, col, rest)
+
+    return extend((), n, t)
 
 
 def enumerate_subgroups(group, target_order):
@@ -212,31 +220,6 @@ def enumerate_subgroups(group, target_order):
     t = tpp[0][1]
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
-    if t == 0:
-        return [Subgroup(q, n, ())]
-    if k == 1:
-        subs = [Subgroup(p, n, g) for g in _rref_subspaces(p, n, t)]
-        subs.sort(key=lambda s: s.gens)
-        return subs
-    # k >= 2: closure search, deduplicated by Howell form
-    ambient = list(product(range(q), repeat=n))
-    seen = {(): Subgroup(q, n, ())}
-    frontier = [()]
-    while frontier:
-        new_frontier = []
-        for gens in frontier:
-            base = seen[gens]
-            for g in ambient:
-                if not any(g):
-                    continue
-                hf = howell_form(base.gens + (g,), n, q)
-                if hf in seen:
-                    continue
-                cand = Subgroup(q, n, hf)
-                if cand.order <= target_order:
-                    seen[hf] = cand
-                    new_frontier.append(hf)
-        frontier = new_frontier
-    subs = [s for s in seen.values() if s.order == target_order]
+    subs = [Subgroup(q, n, gens) for gens in _howell_forms(p, k, n, t)]
     subs.sort(key=lambda s: s.gens)
     return subs

@@ -161,6 +161,24 @@ def test_subgroups_nonpositive_order_exit_2(capsys, order):
     assert out == ""
 
 
+def test_subgroups_negative_rank_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["subgroups", "3", "-1", "1"])
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
+def test_subgroups_negative_limit_exit_1(capsys):
+    code, out, err = run_cli(capsys, ["subgroups", "3", "2", "3", "--limit", "-1"])
+    assert code == 1
+    assert "error:" in err
+    assert out == ""
+    # a zero limit is still fine: nothing shown, everything counted as more
+    code, out, _ = run_cli(capsys, ["subgroups", "3", "2", "3", "--limit", "0"])
+    assert code == 0
+    assert out.splitlines() == ["4 subgroups of (Z_3)^2 of order 3", "  ... 4 more"]
+
+
 # ------------------------------------------------------- input errors
 
 

@@ -133,6 +133,26 @@ def test_precision_exhausted_maps_to_exit_3(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_mpmath_no_convergence_climbs_the_ladder(monkeypatch, capsys):
+    # at 8 bits mpmath's eigensolver gives up on the torus(2,5) block at
+    # x = 1/3 with a RuntimeError; that rung must decline, not crash
+    monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
+    v = kc.evaluate(kc.torus(2, 5))
+    x = Fraction(1, 3)
+    signatures._block_signature.cache_clear()
+    try:
+        monkeypatch.setattr(signatures, "_PRECISIONS", (8, 113))
+        assert signatures.signature_of_matrix(v, x) == -4
+        signatures._block_signature.cache_clear()
+        monkeypatch.setattr(signatures, "_PRECISIONS", (8,))
+        with pytest.raises(kc.PrecisionExhausted, match="precision cap 8 bits"):
+            signatures.signature_of_matrix(v, x)
+        assert cli.run(["sig", "torus(2,5)", "--at", "1/3"]) == 3
+    finally:
+        signatures._block_signature.cache_clear()
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # step functions
 

@@ -1,13 +1,25 @@
 """Subgroup enumeration in homocyclic p-groups, checked by brute force."""
 
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
+from knotcert import obstruction
 from oracles import brute_force_subgroups
+
+# the benchmark's closed-form counts, loaded from its file (it never
+# imports knotcert, so it is an independent check)
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks",
+    Path(__file__).resolve().parent.parent / "perfbench" / "checks.py",
+)
+perfbench_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_checks)
 
 
 def element_set(sub):
@@ -92,6 +104,8 @@ def test_subgroup_elements_consistency():
         ((9, 9), 27),
         ((3, 3, 3), 9),
         ((4, 4), 4),
+        ((4, 4, 4), 8),
+        ((8, 8), 8),
     ],
 )
 def test_enumeration_matches_brute_force(factors, order):
@@ -100,6 +114,38 @@ def test_enumeration_matches_brute_force(factors, order):
     assert ours == brute
     # and no subgroup is listed twice
     assert len(kc.enumerate_subgroups(factors, order)) == len(ours)
+
+
+@pytest.mark.parametrize(
+    "p,k,n,t,count",
+    [(3, 2, 3, 3, 157), (3, 2, 4, 4, 12091), (2, 4, 3, 6, 939)],
+)
+def test_enumeration_beyond_brute_force(p, k, n, t, count):
+    # (Z_9)^3, (Z_9)^4 and (Z_16)^3: Birkhoff's count, every generator
+    # set already in Howell form, strictly sorted (so no repeats)
+    q = p ** k
+    subs = kc.enumerate_subgroups((q,) * n, p ** t)
+    assert len(subs) == count == perfbench_checks.subgroup_count(p, k, n, t)
+    gens = [s.gens for s in subs]
+    assert all(kc.howell_form(g, n, q) == g for g in gens)
+    assert all(a < b for a, b in zip(gens, gens[1:]))
+    assert all(s.order == p ** t for s in subs)
+
+
+@pytest.mark.parametrize("q,n,order", [(9, 3, 27), (9, 3, 81), (3, 4, 9)])
+def test_element_tensor_matches_subgroup_elements(q, n, order):
+    # (Z_9)^3 mixes row-order patterns: (9, 3) and (3, 3, 3) at order 27;
+    # at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a row count
+    subs, arr, support = obstruction._subgroups_with_elements(q, n, order)
+    assert [s.gens for s in subs] == [
+        s.gens for s in kc.enumerate_subgroups((q,) * n, order)
+    ]
+    assert arr.shape == (len(subs), order, n)
+    if q == 9:
+        assert len({s.row_orders() for s in subs}) > 1
+    for s, rows in zip(subs, arr.tolist()):
+        assert [tuple(r) for r in rows] == s.elements()
+    assert (support == (arr != 0)).all()
 
 
 def test_enumeration_is_deterministic():
