@@ -205,7 +205,7 @@ def _unit_coords(group):
     return [tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cover_presentation(v):
     """Full double-branched-cover package for a Seifert matrix (cached).
 

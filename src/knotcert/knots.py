@@ -217,7 +217,7 @@ def _torus_matrix(n):
     return SeifertMatrix(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def evaluate(e):
     """Seifert matrix of an expression (right-handed torus convention)."""
     if isinstance(e, Unknot):
@@ -245,7 +245,7 @@ def evaluate(e):
 # ---------------------------------------------------------------------------
 # Alexander polynomial
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _alexander_of_block(block):
     n = len(block)
     # det(V - t V^T) per irreducible diagonal block

@@ -24,7 +24,6 @@ when its whole interval lies on one side of 0.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -470,6 +469,10 @@ def witness_list_digest(texts):
     _DIGEST_CHUNK witnesses, so a family of any size needs only one
     chunk's text in memory at a time.
     """
+    # imported here, not at module top: loading OpenSSL costs every
+    # process that never hashes a digest a few MB of memory
+    import hashlib
+
     sha = hashlib.sha256(b"[")
     texts = iter(texts)
     sep = ""

@@ -7,11 +7,16 @@ of the Hermitian matrix
 
 Exactness strategy, per eigenvalue sign:
 
-* Whether A(omega) is singular is decided exactly: A is singular iff
-  omega is a root of det(V - t V^T), iff the d-th cyclotomic
-  polynomial divides it (d = order of omega).  When singular, the
-  nullity is computed by exact Gaussian elimination over the
-  cyclotomic field Q(zeta_d).
+* The nullity of A(omega) is decided exactly.  A(omega) is
+  (1 - omega)(V - conj(omega) V^T), so its nullity is the number of
+  invariant factors of V - t V^T over Q[t] that the d-th cyclotomic
+  polynomial Phi_d divides (d = order of omega; Levine 1969,
+  Tristram 1969, Kawauchi's survey).  That count is 0 when Phi_d does
+  not divide Delta = det(V - t V^T), and otherwise at least 1 and at
+  most the multiplicity of Phi_d in Delta.  A simple factor, as in
+  every torus(2, n) block, therefore gives nullity 1 with no further
+  work; only a repeated factor falls back to exact Gaussian
+  elimination over the cyclotomic field Q(zeta_d).
 * The nonzero eigenvalue signs come from rigorous Gershgorin discs of
   B = Q* A Q, where Q is a floating approximation of the eigenvector
   matrix and B is evaluated in outward-rounded interval arithmetic.
@@ -49,7 +54,6 @@ from .polynomials import (
     _qtrim,
     compact_circle_form,
     cyclotomic,
-    divides,
     euler_phi,
     factor_multiplicity,
     orders_with_phi_at_most,
@@ -416,16 +420,26 @@ def _exact_nullity(block, j, d):
 _PRECISIONS = (113, 240, 480, 960, 1920, 3840)
 
 
-@lru_cache(maxsize=None)
+def _nullity(block, j, d):
+    """dim ker A(omega) at omega = e^{2 pi i j/d}, via Phi_d's multiplicity in Delta."""
+    delta = _alexander_of_block(block)
+    deg = delta.degree
+    # Phi_d can only divide when phi(d) <= deg Delta, and phi(d) >= sqrt(d/2)
+    # rules out every d > 2 deg^2 before euler_phi factors d
+    if d > 2 * deg * deg or euler_phi(d) > deg:
+        return 0
+    mult, _ = factor_multiplicity(delta, cyclotomic(d))
+    if mult <= 1:
+        return mult
+    nullity = _exact_nullity(block, j, d)
+    assert 1 <= nullity <= mult
+    return nullity
+
+
+@lru_cache(maxsize=256)
 def _block_signature(block, x):
     j, d = x.numerator, x.denominator
-    delta = _alexander_of_block(block)
-    nullity = 0
-    # Phi_d can only divide when phi(d) <= deg Delta, so most denominators
-    # skip the polynomial division outright
-    if euler_phi(d) <= delta.degree and divides(cyclotomic(d), delta):
-        nullity = _exact_nullity(block, j, d)
-        assert nullity > 0
+    nullity = _nullity(block, j, d)
     sig = _certify_double(block, j, d, nullity)
     if sig is None:
         for prec in _PRECISIONS:

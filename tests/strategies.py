@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules.
+"""Hypothesis strategies and input generators shared by the test modules.
 
 They live here rather than in conftest.py because the test run also
 collects perfbench/tests, whose own conftest.py would shadow this
@@ -41,3 +41,27 @@ def unit_fractions(max_den=60):
     return st.fractions(
         min_value=0, max_value=1, max_denominator=max_den
     ).filter(lambda x: 0 < x < 1)
+
+
+def dense_conjugate(rows, rng):
+    """P V P^T for a seeded product of elementary unimodular congruences.
+
+    One sweep of row_i += +-row_{i+1} (with the matching column move)
+    joins every diagonal block into one and fills the matrix with small
+    entries; seeded sign flips follow.  The result is congruent to
+    rows, so its signatures, Alexander polynomial and cover homology
+    are those of rows.
+    """
+    v = [list(r) for r in rows]
+    size = len(v)
+    for i in range(size - 1):
+        c = rng.choice((1, -1))
+        v[i] = [x + c * y for x, y in zip(v[i], v[i + 1])]
+        for r in v:
+            r[i] += c * r[i + 1]
+    for i in range(size):
+        if rng.random() < 0.5:
+            v[i] = [-x for x in v[i]]
+            for r in v:
+                r[i] = -r[i]
+    return v

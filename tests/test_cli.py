@@ -61,6 +61,17 @@ def test_sig_rejects_tiny_denominator_bound(capsys):
     assert "error:" in err
 
 
+def test_sig_at_large_prime_denominator(capsys):
+    # phi(d) >= sqrt(d/2) rules Phi_d out without factoring d, which
+    # trial division could not finish for a 21-digit prime
+    code, out, err = run_cli(
+        capsys, ["sig", "torus(2,3)", "--at", "1/100000000000000000039"]
+    )
+    assert code == 0
+    assert out == "0\n"
+    assert err == ""
+
+
 # ---------------------------------------------------------------- alex
 
 

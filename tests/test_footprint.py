@@ -1,0 +1,67 @@
+"""Memory footprint guards: bounded per-knot caches and a lazy hashlib.
+
+A long-lived process that meets many distinct knots (the signature
+engine on dense Seifert matrices, say) must not keep every one of them,
+and a process that never hashes a witness digest must not load OpenSSL.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import knotcert as kc
+from knotcert import covers, knots, signatures
+from strategies import dense_conjugate
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CACHE_BOUNDS = {
+    knots.evaluate: 64,
+    knots._alexander_of_block: 64,
+    covers.cover_presentation: 64,
+    signatures._block_signature: 256,
+}
+
+
+def test_per_knot_caches_stay_bounded():
+    rng = random.Random(100)
+    base = kc.evaluate(kc.torus(2, 7)).rows
+    seen = set()
+    while len(seen) < 100:
+        rows = dense_conjugate(base, rng)
+        key = tuple(map(tuple, rows))
+        if key in seen:
+            continue
+        seen.add(key)
+        e = kc.raw(rows)
+        kc.alexander_polynomial(e)
+        # a root of Delta, a regular point and the conjugate of the root
+        for x in (Fraction(1, 14), Fraction(1, 3), Fraction(13, 14)):
+            kc.levine_tristram(e, x)
+        kc.homology_from_seifert(kc.evaluate(e))
+    for fn, bound in CACHE_BOUNDS.items():
+        info = fn.cache_info()
+        assert info.misses >= 100, (fn.__name__, info)
+        assert info.currsize <= bound, (fn.__name__, info)
+
+
+_NO_HASHLIB = """
+import sys
+import knotcert, knotcert.cli
+from knotcert import cli
+assert cli.run(["alex", "torus(2,5)"]) == 0
+assert "hashlib" not in sys.modules, "hashlib was imported"
+"""
+
+
+def test_hashlib_is_not_loaded_without_a_digest():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_HASHLIB], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 
 import knotcert as kc
 from knotcert import cli, signatures
-from strategies import knot_exprs, torus_exprs, unit_fractions
+from knotcert.knots import alexander_of_matrix
+from knotcert.polynomials import cyclotomic, factor_multiplicity
+from strategies import dense_conjugate, knot_exprs, torus_exprs, unit_fractions
 from oracles import float_signature
 from test_acceptance import _SIGNATURE_CORPUS
 
@@ -151,6 +153,59 @@ def test_mpmath_no_convergence_climbs_the_ladder(monkeypatch, capsys):
     finally:
         signatures._block_signature.cache_clear()
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# nullity at the roots of Delta
+
+def _one_dense_block(e, seed):
+    """A dense conjugate of e's Seifert matrix that is one diagonal block."""
+    v = kc.evaluate(kc.raw(dense_conjugate(kc.evaluate(e).rows, random.Random(seed))))
+    (block,) = v.diagonal_blocks()
+    return v, block
+
+
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_nullity_shortcut_matches_field_elimination(n):
+    v, block = _one_dense_block(kc.torus(2, n), n)
+    locus = signatures._circle_root_locus(alexander_of_matrix(v))
+    assert len(locus) == (n - 1) // 2
+    for x in locus + [1 - x for x in locus]:
+        j, d = x.numerator, x.denominator
+        assert signatures._nullity(block, j, d) == 1, x
+        assert signatures._exact_nullity(block, j, d) == 1, x
+    # a regular point and a denominator past 2 deg^2 have nullity 0
+    assert signatures._nullity(block, 1, 31) == 0
+    assert signatures._nullity(block, 1, 2 * (n - 1) ** 2 + 1) == 0
+
+
+def test_repeated_cyclotomic_factor_takes_the_field_path(monkeypatch):
+    # Delta(T(2,3)) = Phi_6 and Delta(T(2,9)) = Phi_6 Phi_18, so Phi_6^2
+    # divides Delta of the sum and its nullity at 1/6 is 2
+    whole = kc.connected_sum(kc.torus(2, 3), kc.torus(2, 9))
+    v, block = _one_dense_block(whole, 6)
+    mixed = kc.raw(v.rows)
+    mult, _ = factor_multiplicity(alexander_of_matrix(v), cyclotomic(6))
+    assert mult == 2
+
+    exact = signatures._exact_nullity
+    calls = []
+
+    def counted(block, j, d):
+        calls.append((j, d))
+        return exact(block, j, d)
+
+    monkeypatch.setattr(signatures, "_exact_nullity", counted)
+    signatures._block_signature.cache_clear()
+    try:
+        assert signatures._nullity(block, 1, 6) == 2
+        assert kc.levine_tristram(mixed, Fraction(1, 6)) == -4
+        assert kc.levine_tristram(whole, Fraction(1, 6)) == -4
+        assert kc.signature_function(mixed, 18) == kc.signature_function(whole, 18)
+    finally:
+        signatures._block_signature.cache_clear()
+    # only the repeated factor reaches the field; simple ones never do
+    assert set(calls) == {(1, 6)}
 
 
 # ---------------------------------------------------------------------------
