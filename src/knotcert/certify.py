@@ -277,6 +277,52 @@ def _value_from_json(v):
     return Fraction(v)
 
 
+def _replay_witnesses(data, pattern, profile, family, problems):
+    """Replay every inline witness through obstruction_sum.
+
+    Appends what fails to problems; raises on a document whose combos
+    or witnesses do not have the certificate's shape.
+    """
+    p, k = data["prime"], data["exponent"]
+    q = p ** k
+    selected = [family[i] for i in data["selection"]["indices"]]
+    for combo in data.get("combos", ()):
+        coeffs = combo["coefficients"]
+        try:
+            inst = _combo_instance(pattern, profile, selected, coeffs, p, k)
+        except KnotcertError as ex:
+            problems.append(f"combo {coeffs} cannot be replayed: {ex}")
+            continue
+        for w in combo.get("witnesses", ()):
+            chis = tuple(_component_character(inst, c) for c in w["chi"])
+            try:
+                val = obstruction_sum(inst, chis)
+            except KnotcertError as ex:
+                problems.append(
+                    f"witness {w['chi']} of combo {coeffs} cannot be "
+                    f"replayed: {ex}"
+                )
+                continue
+            recorded = _value_from_json(w["value"])
+            if val != recorded:
+                problems.append(
+                    f"witness {w['chi']} of combo {coeffs} recomputes to "
+                    f"{val}, certificate says {recorded}"
+                )
+            # adding to a point re-wraps the unwrapped sum as an interval
+            if not (RatInterval.point(0) + val).excludes_zero:
+                problems.append(
+                    f"witness {w['chi']} of combo {coeffs} does not "
+                    "exclude zero"
+                )
+            vec = tuple(w["chi"])
+            sgens = tuple(tuple(r) for r in w["subgroup"])
+            if sgens and not Subgroup(q, len(vec), sgens).contains(vec):
+                problems.append(
+                    f"witness {w['chi']} is not in its subgroup {sgens}"
+                )
+
+
 def verify_certificate(data):
     """Recompute a certificate from its own inputs and check every claim.
 
@@ -309,44 +355,10 @@ def verify_certificate(data):
             if recomputed.get(key) != data.get(key):
                 problems.append(f"field {key!r} differs on recomputation")
     if data["mode"] == "exhaustive":
-        p, k = data["prime"], data["exponent"]
-        q = p ** k
-        selected = [family[i] for i in data["selection"]["indices"]]
-        for combo in data.get("combos", ()):
-            coeffs = combo["coefficients"]
-            try:
-                inst = _combo_instance(
-                    pattern, profile, selected, coeffs, p, k
-                )
-            except KnotcertError as ex:
-                problems.append(f"combo {coeffs} cannot be replayed: {ex}")
-                continue
-            for w in combo.get("witnesses", ()):
-                chis = tuple(_component_character(inst, c) for c in w["chi"])
-                try:
-                    val = obstruction_sum(inst, chis)
-                except KnotcertError as ex:
-                    problems.append(
-                        f"witness {w['chi']} of combo {coeffs} cannot be "
-                        f"replayed: {ex}"
-                    )
-                    continue
-                recorded = _value_from_json(w["value"])
-                if val != recorded:
-                    problems.append(
-                        f"witness {w['chi']} of combo {coeffs} recomputes to "
-                        f"{val}, certificate says {recorded}"
-                    )
-                # adding to a point re-wraps the unwrapped sum as an interval
-                if not (RatInterval.point(0) + val).excludes_zero:
-                    problems.append(
-                        f"witness {w['chi']} of combo {coeffs} does not "
-                        "exclude zero"
-                    )
-                vec = tuple(w["chi"])
-                sgens = tuple(tuple(r) for r in w["subgroup"])
-                if sgens and not Subgroup(q, len(vec), sgens).contains(vec):
-                    problems.append(
-                        f"witness {w['chi']} is not in its subgroup {sgens}"
-                    )
+        try:
+            _replay_witnesses(data, pattern, profile, family, problems)
+        except Exception as ex:  # noqa: BLE001 - a malformed document
+            problems.append(
+                f"cannot replay the witnesses: {type(ex).__name__}: {ex}"
+            )
     return not problems, problems

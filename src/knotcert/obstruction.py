@@ -280,50 +280,48 @@ def obstruction_sum(inst, chi_tuple):
 # ---------------------------------------------------------------------------
 # vectorized witness search over all candidate metabolizers
 
-# Two sweep kernels (the support-only matvec and the per-coefficient
-# gather) are kept on purpose; the code picks between them from the value
-# tables.  Folding them into the gather kernel keeps the certificates
-# byte-identical, but on a 2-core machine it slowed the (Z_3)^6 sweep of
-# 33,880 subgroups from about 485 ms to about 540 ms.
-
-# self-check hook: set False to force the per-coefficient gather path even
-# when the support-only shortcut applies (they must agree)
-_FLAT_FAST_PATH = True
-
 
 @lru_cache(maxsize=None)
-def _subgroups_with_elements(q, n, order):
-    """(subgroups, elements tensor [S, E, n], support tensor) cached.
+def _vectors(q, n):
+    """[q^n, n] int64 array whose row i is the vector with base-q code i."""
+    return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
 
-    The elements tensor lists every member of every subgroup in the
-    deterministic coefficient-grid order of Subgroup.elements(), built
-    by one matrix product per row-order pattern; the support tensor is
-    (elements != 0) as int64, used by the fast path when CG values only
-    depend on which components are nonzero.
-    """
-    subs = enumerate_subgroups((q,) * n, order)
-    arr = np.empty((len(subs), order, n), dtype=np.int16)
+
+def _gens_by_rank(subs, n):
+    """(indices, generator tensor [G, r, n]) per generator count r."""
     by_rank = {}
     for i, s in enumerate(subs):
         by_rank.setdefault(len(s.gens), []).append(i)
     for r, members in by_rank.items():
-        members = np.array(members)
         gens = np.array([subs[i].gens for i in members], dtype=np.int64)
-        gens = gens.reshape(len(members), r, n)
+        yield np.array(members), gens.reshape(len(members), r, n)
+
+
+@lru_cache(maxsize=None)
+def _subgroups_with_elements(q, n, order):
+    """(subgroups, codes [S, order]) cached.
+
+    codes[s] lists the base-q code of every member of subgroup s, in the
+    deterministic coefficient-grid order of Subgroup.elements(), built
+    by one matrix product per row-order pattern.
+    """
+    subs = enumerate_subgroups((q,) * n, order)
+    codes = np.empty((len(subs), order), dtype=np.int64)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for members, gens in _gens_by_rank(subs, n):
         # leading entry of every row, one integer key per row-order pattern
         leads = np.take_along_axis(
             gens, (gens != 0).argmax(axis=2)[..., None], axis=2
         )[..., 0]
-        keys = leads @ q ** np.arange(r, dtype=np.int64)
+        keys = leads @ q ** np.arange(gens.shape[1], dtype=np.int64)
         for key in np.unique(keys):
             same = keys == key
             orders = (q // leads[same][0]).tolist()
             coeffs = np.array(list(product(*map(range, orders))), dtype=np.int64)
             block = coeffs @ gens[same]
-            arr[members[same]] = np.remainder(block, q, out=block)
-            del block  # int64, four times arr's size: free it early
-    support = (arr != 0).astype(np.int64)
-    return subs, arr, support
+            codes[members[same]] = np.remainder(block, q, out=block) @ place
+            del block  # int64 with n entries per member: free it early
+    return subs, codes
 
 
 def _value_tables(inst):
@@ -353,28 +351,25 @@ def _value_tables(inst):
 
 
 def _self_annihilating_mask(inst, subs):
-    """Which subgroups pair to 0 with themselves under the linking form."""
+    """Which subgroups pair to 0 with themselves under the linking form.
+
+    Vectors u, w pair to mu * sum_i sign_i u_i w_i mod 1, where mu is
+    the self-linking of the p-primary generator.  With mu = a/b in
+    lowest terms that is 0 iff b divides the integer sum, so a subgroup
+    is isotropic iff b divides every entry of its Gram matrix
+    gens . diag(signs) . gens^T.
+    """
     q = inst.p ** inst.k
     n_cover = inst.pattern.group.order
     lam = inst.pattern.linking_matrix[0][0]
     # self-linking of the p-primary generator (n/q) * g
-    mu = (Fraction(n_cover // q) ** 2 * lam) % 1
-    signs = [1] * inst.m + [-1] * inst.n_neg
-    out = []
-    for s in subs:
-        ok = True
-        for u in s.gens:
-            for w in s.gens:
-                pair = sum(
-                    sg * mu * ui * wi for sg, ui, wi in zip(signs, u, w)
-                ) % 1
-                if pair != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out.append(ok)
-    return out
+    b = ((Fraction(n_cover // q) ** 2 * lam) % 1).denominator
+    signs = np.array([1] * inst.m + [-1] * inst.n_neg, dtype=np.int64)
+    mask = np.empty(len(subs), dtype=bool)
+    for members, gens in _gens_by_rank(subs, inst.total):
+        gram = np.einsum("sia,a,sja->sij", gens, signs, gens)
+        mask[members] = (gram % b == 0).all(axis=(1, 2))
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +425,19 @@ def _subgroup_gen_texts(q, n, order):
 @lru_cache(maxsize=None)
 def _chi_texts(q, n):
     """Canonical JSON text of every vector of (Z_q)^n, by base-q code."""
-    return tuple(_int_list_text(v) for v in product(range(q), repeat=n))
+    return tuple(map(_int_list_text, _vectors(q, n).tolist()))
 
 
-def _witness_texts(q, n, order, picked, coeffs, lo, hi, den):
+def _witness_texts(q, n, order, picked, codes, lo, hi, den):
     """Canonical JSON text of each witness, in family order.
 
-    picked indexes the swept subgroups in enumeration order, coeffs is
-    the int array of witness coefficient rows, and lo/hi/den give each
+    picked indexes the swept subgroups in enumeration order, codes is
+    the int array of witness base-q codes, and lo/hi/den give each
     witness value as the integer numerators lo/den and hi/den.  A
     generator: the pieces are built when the digest starts consuming it.
     """
     gen_t = _subgroup_gen_texts(q, n, order)
     chi_t = _chi_texts(q, n)
-    codes = (coeffs.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)).tolist()
     values = list(zip(lo.tolist(), hi.tolist()))
     val_t = {
         (a, b): _canonical_json(value_json(
@@ -451,7 +445,7 @@ def _witness_texts(q, n, order, picked, coeffs, lo, hi, den):
         for a, b in set(values)
     }
     # keys in sorted order, as _canonical_json(witness_json(...)) writes them
-    for g, c, v in zip(picked, codes, values):
+    for g, c, v in zip(picked, codes.tolist(), values):
         yield f'{{"chi":{chi_t[c]},"subgroup":{gen_t[g]},"value":{val_t[v]}}}'
 
 
@@ -546,44 +540,25 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
             f"budget {max_group_order}"
         )
     target = inst.p ** (inst.k * total // 2)
-    subs, arr, support = _subgroups_with_elements(q, total, target)
+    subs, codes = _subgroups_with_elements(q, total, target)
     picked = list(range(len(subs)))
     if self_annihilating_only:
-        mask = _self_annihilating_mask(inst, subs)
-        picked = [i for i in picked if mask[i]]
+        picked = np.flatnonzero(_self_annihilating_mask(inst, subs)).tolist()
+        codes = codes[picked]
     lo_f, hi_f = _value_tables(inst)
     den = lcm(*[f.denominator for row in lo_f + hi_f for f in row], 1)
     lo_t = np.array([[int(f * den) for f in row] for row in lo_f], dtype=np.int64)
     hi_t = np.array([[int(f * den) for f in row] for row in hi_f], dtype=np.int64)
-    full = len(picked) == len(subs)
-    sub_arr = arr if full else arr[picked]
-    exact_tables = np.array_equal(lo_t, hi_t)
-    # fast path: when each summand's value is the same at every nonzero
-    # coefficient (e.g. q = 3, where c and -c give conjugate characters),
-    # the sum only depends on the support pattern, a single int matvec
-    flat = (_FLAT_FAST_PATH and
-            np.all(lo_t[:, 1:] == lo_t[:, 1:2]) and
-            np.all(hi_t[:, 1:] == hi_t[:, 1:2]))
-    if flat:
-        assert not lo_t[:, 0].any() and not hi_t[:, 0].any()
-        sup = support if full else support[picked]
-        ns, ne = sup.shape[:2]
-        sums_lo = (sup.reshape(ns * ne, total) @ lo_t[:, 1]).reshape(ns, ne)
-        if exact_tables:
-            sums_hi = sums_lo
-        else:
-            sums_hi = (sup.reshape(ns * ne, total) @ hi_t[:, 1]).reshape(ns, ne)
-    else:
-        sums_lo = np.zeros(sub_arr.shape[:2], dtype=np.int64)
-        for alpha in range(total):
-            sums_lo += lo_t[alpha][sub_arr[:, :, alpha]]
-        if exact_tables:
-            sums_hi = sums_lo
-        else:
-            sums_hi = np.zeros(sub_arr.shape[:2], dtype=np.int64)
-            for alpha in range(total):
-                sums_hi += hi_t[alpha][sub_arr[:, :, alpha]]
-    witness_mask = (sums_lo > 0) | (sums_hi < 0)
+    # the obstruction sum of every character tuple, by base-q code, so
+    # each subgroup member's sum is one lookup: at most q^total entries,
+    # which max_group_order caps, and when total >= 2 every tuple lies
+    # in some candidate subgroup, so the tables are never larger than
+    # the code tensor
+    vecs = _vectors(q, total)
+    cols = np.arange(total)
+    sum_lo = lo_t[cols, vecs].sum(axis=1)
+    sum_hi = hi_t[cols, vecs].sum(axis=1)
+    witness_mask = ((sum_lo > 0) | (sum_hi < 0))[codes]
     per_sub = witness_mask.any(axis=1)
     if not bool(per_sub.all()):
         bad = int(np.argmin(per_sub))
@@ -593,27 +568,19 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
             profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
-    first = np.argmax(witness_mask, axis=1)
-    rows = np.arange(sub_arr.shape[0])
+    first = codes[np.arange(len(picked)), np.argmax(witness_mask, axis=1)]
     if witness_cap is not None and len(picked) > witness_cap:
         digest = witness_list_digest(_witness_texts(
-            q, total, target, picked, sub_arr[rows, first],
-            sums_lo[rows, first], sums_hi[rows, first], den,
+            q, total, target, picked, first, sum_lo[first], sum_hi[first], den,
         ))
         witnesses = ()
     else:
-        wit_coeffs = sub_arr[rows, first].tolist()
-        wlo = sums_lo[rows, first].tolist()
-        if exact_tables:
-            values = [Fraction(v, den) for v in wlo]
-        else:
-            whi = sums_hi[rows, first].tolist()
-            values = [RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()
-                      for a, b in zip(wlo, whi)]
+        values = [RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()
+                  for a, b in zip(sum_lo[first].tolist(), sum_hi[first].tolist())]
         digest = None
         witnesses = tuple(
             (subs[i].gens, tuple(c), v)
-            for i, c, v in zip(picked, wit_coeffs, values)
+            for i, c, v in zip(picked, vecs[first].tolist(), values)
         )
     return SliceObstructionResult(
         True, "witnessed", inst.p, inst.k, total, len(picked),

@@ -157,3 +157,35 @@ def sympy_alexander_coeffs(rows):
     if coeffs[0] < 0:
         coeffs = [-c for c in coeffs]
     return tuple(int(c) for c in coeffs)
+
+
+# ---------------------------------------------------------------------------
+# isotropy oracle: the linking form in Fraction arithmetic, pair by pair
+
+def self_annihilating_mask(inst, subs):
+    """Which subgroups pair to 0 with themselves under the linking form.
+
+    Every pair of generator rows u, w is paired as
+    sum_i sign_i * mu * u_i * w_i mod 1 over Fractions, where mu is the
+    self-linking of the p-primary generator of the pattern cover.
+    """
+    q = inst.p ** inst.k
+    n_cover = inst.pattern.group.order
+    lam = inst.pattern.linking_matrix[0][0]
+    mu = (Fraction(n_cover // q) ** 2 * lam) % 1
+    signs = [1] * inst.m + [-1] * inst.n_neg
+    out = []
+    for s in subs:
+        ok = True
+        for u in s.gens:
+            for w in s.gens:
+                pair = sum(
+                    sg * mu * ui * wi for sg, ui, wi in zip(signs, u, w)
+                ) % 1
+                if pair != 0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        out.append(ok)
+    return out

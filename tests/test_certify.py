@@ -251,6 +251,36 @@ def test_witness_digest_tamper_is_caught():
     assert problems
 
 
+def _inline_witness(d):
+    return next(c for c in d["combos"] if c.get("witnesses"))["witnesses"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["selection"]["indices"].__setitem__(0, 99),
+        lambda d: d.pop("selection"),
+        lambda d: d.pop("prime"),
+        lambda d: d.update(combos=5),
+        lambda d: d["combos"][0].pop("coefficients"),
+        lambda d: _inline_witness(d).update(chi=["a"]),
+        lambda d: _inline_witness(d).pop("subgroup"),
+        lambda d: _inline_witness(d).update(value="x"),
+        lambda d: _inline_witness(d).update(value={"lo": "1"}),
+        lambda d: _inline_witness(d).update(subgroup=[[1]]),
+    ],
+    ids=[
+        "selection-index", "no-selection", "no-prime", "combos-int",
+        "no-coefficients", "chi-text", "no-subgroup", "value-text",
+        "value-no-hi", "ragged-subgroup",
+    ],
+)
+def test_malformed_replay_is_reported_not_raised(mutate):
+    ok, problems = tampered(mutate)
+    assert not ok
+    assert problems
+
+
 def test_verify_rejects_malformed_documents():
     ok, problems = kc.verify_certificate({"certificate": "bogus"})
     assert not ok

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import knotcert as kc
 import knotcert.obstruction as obstruction
 from knotcert.covers import Character
-from oracles import brute_force_subgroups
+from oracles import brute_force_subgroups, self_annihilating_mask
 
 
 def wh11():
@@ -281,11 +281,34 @@ def test_self_annihilating_filter_narrows_candidates():
     assert sa_gens <= {w[0] for w in res_all.witnesses}
 
 
-def test_fast_path_agrees_with_gather_path(monkeypatch):
-    # dual route: the support-matvec shortcut against the per-coefficient
-    # gather loop it replaces
+def _first_witness_oracle(inst):
+    """(witnesses, None) or (None, failed gens), one element at a time.
+
+    Walks every candidate subgroup's Subgroup.elements() through the
+    scalar obstruction_sum; the witness is the first element whose sum
+    excludes 0, and the first subgroup without one fails the sweep.
+    """
+    q = inst.p ** inst.k
+    target = inst.p ** (inst.k * inst.total // 2)
+    witnesses = []
+    for s in kc.enumerate_subgroups((q,) * inst.total, target):
+        for e in s.elements():
+            chis = tuple(Character((Fraction(c, q),)) for c in e)
+            value = kc.obstruction_sum(inst, chis)
+            if (kc.RatInterval.point(0) + value).excludes_zero:
+                witnesses.append((s.gens, e, value))
+                break
+        else:
+            return None, s.gens
+    return tuple(witnesses), None
+
+
+def test_sweep_matches_first_witness_oracle():
+    # dual route: the table-lookup sweep against a scalar replay of
+    # every element, on vanishing and witnessed, exact and bounded cases
     prof_b = kc.CGProfile.bounded(1)
-    m2 = kc.multiple(2, kc.mirror(kc.torus(2, 3)))
+    mt3 = kc.mirror(kc.torus(2, 3))
+    m2, m3 = kc.multiple(2, mt3), kc.multiple(3, mt3)
     instances = [
         exact_inst(),
         kc.ObstructionInstance(wh11(), prof_b, (m2,), (kc.unknot(),), 3, 1),
@@ -293,11 +316,47 @@ def test_fast_path_agrees_with_gather_path(monkeypatch):
             wh11(), kc.CGProfile.zero(),
             (m2, kc.torus(2, 5)), (kc.unknot(), kc.torus(2, 3)), 3, 1
         ),
+        kc.ObstructionInstance(wh11(), prof_b, (m2,), (kc.torus(2, 3),), 3, 1),
+        kc.ObstructionInstance(
+            wh11(), kc.CGProfile.zero(), (mt3, m3),
+            (kc.torus(2, 3), kc.multiple(3, kc.torus(2, 3))), 3, 1,
+        ),
     ]
-    fast = [kc.check_slice_obstruction(inst) for inst in instances]
-    monkeypatch.setattr(obstruction, "_FLAT_FAST_PATH", False)
-    slow = [kc.check_slice_obstruction(inst) for inst in instances]
-    assert fast == slow
+    verdicts = []
+    for inst in instances:
+        res = kc.check_slice_obstruction(inst)
+        witnesses, failed = _first_witness_oracle(inst)
+        verdicts.append(res.obstructed)
+        if failed is None:
+            assert res.obstructed and res.witnesses == witnesses
+        else:
+            assert not res.obstructed and res.failed_subgroup == failed
+    assert verdicts == [True, False, False, True, True]
+
+
+@pytest.mark.parametrize("a,b,signs,p,k,count,isotropic", [
+    (1, 1, (3, 3), 3, 1, 33880, 80),
+    (1, 1, (4, 2), 3, 1, 33880, 0),
+    (1, 1, (2, 2), 3, 1, 130, 8),
+    (1, -1, (2, 2), 5, 1, 806, 12),
+    (1, -1, (3, 1), 5, 1, 806, 12),
+    (1, 2, (2, 2), 7, 1, 2850, 16),
+    (1, -2, (2, 2), 3, 2, 12091, 41),
+    (1, -2, (1, 1), 3, 2, 13, 3),
+], ids=["z3-3+3", "z3-4+2", "z3-2+2", "z5-2+2", "z5-3+1", "z7-2+2",
+        "z9-2+2", "z9-1+1"])
+def test_self_annihilating_mask_matches_fraction_oracle(
+        a, b, signs, p, k, count, isotropic):
+    u = kc.unknot()
+    inst = kc.ObstructionInstance(
+        kc.whitehead_cover(a, b), kc.CGProfile.zero(),
+        (u,) * signs[0], (u,) * signs[1], p, k
+    )
+    q, total = p ** k, sum(signs)
+    subs = kc.enumerate_subgroups((q,) * total, p ** (k * total // 2))
+    mask = obstruction._self_annihilating_mask(inst, subs)
+    assert len(subs) == count and int(mask.sum()) == isotropic
+    assert mask.tolist() == self_annihilating_mask(inst, subs)
 
 
 def test_witness_cap_digest_commits_to_full_list():
@@ -337,7 +396,7 @@ def _dict_oracle_digest(witnesses):
 
 
 def _digest_case(name):
-    """(instance, sweep kwargs, flat shortcut on, property of the values)."""
+    """(instance, sweep kwargs, property of the values)."""
     mt3 = kc.mirror(kc.torus(2, 3))
     m2, m3 = kc.multiple(2, mt3), kc.multiple(3, mt3)
     if name == "bounded-intervals":
@@ -345,9 +404,9 @@ def _digest_case(name):
             wh11(), kc.CGProfile.bounded(Fraction(1, 2)),
             (m2, m3), (kc.torus(2, 5), kc.torus(2, 3)), 3, 1
         )
-        return inst, {}, True, lambda v: isinstance(v, kc.RatInterval)
+        return inst, {}, lambda v: isinstance(v, kc.RatInterval)
     if name == "denominator-4":
-        # Z_5 with fractional taubar values: the gather sweep, den = 4
+        # Z_5 with fractional taubar values: den = 4
         prof = kc.CGProfile.exact(
             [((Fraction(1, 5),), Fraction(13, 2)), ((Fraction(2, 5),), Fraction(9, 4))]
         )
@@ -355,32 +414,31 @@ def _digest_case(name):
             kc.whitehead_cover(1, -1), prof,
             (kc.unknot(), mt3), (kc.torus(2, 3), kc.torus(2, 5)), 5, 1
         )
-        return inst, {}, True, lambda v: v.denominator > 1
+        return inst, {}, lambda v: v.denominator > 1
     sa = kc.ObstructionInstance(
         wh11(), kc.CGProfile.zero(),
         (kc.torus(2, 3), m2), (mt3, kc.torus(2, 5)), 3, 1
     )
     if name == "self-annihilating":
-        return sa, {"self_annihilating_only": True}, True, None
-    if name == "gather-path":
-        return sa, {}, False, None
+        return sa, {"self_annihilating_only": True}, None
+    if name == "unfiltered":
+        return sa, {}, None
     assert name == "z9"
     inst = kc.ObstructionInstance(
         kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
         (m2,), (kc.multiple(5, mt3),), 3, 2
     )
-    return inst, {}, True, None
+    return inst, {}, None
 
 
 @pytest.mark.parametrize("name", [
     "bounded-intervals", "denominator-4", "self-annihilating",
-    "gather-path", "z9",
+    "unfiltered", "z9",
 ])
-def test_capped_digest_matches_dict_oracle(monkeypatch, name):
+def test_capped_digest_matches_dict_oracle(name):
     # the digest-only family is assembled from cached text pieces; an
     # independent json.dumps over witness_json dicts must hash the same
-    inst, kwargs, flat, prop = _digest_case(name)
-    monkeypatch.setattr(obstruction, "_FLAT_FAST_PATH", flat)
+    inst, kwargs, prop = _digest_case(name)
     full = kc.check_slice_obstruction(inst, **kwargs)
     capped = kc.check_slice_obstruction(inst, witness_cap=2, **kwargs)
     assert full.obstructed and len(full.witnesses) == full.subgroup_count > 2
