@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
 from math import lcm
 
 import numpy as np
@@ -192,6 +192,9 @@ def _character_in_group(chi, group):
     return all(d % v.denominator == 0 for v, d in zip(chi.values, group.factors))
 
 
+# the sweep tables, select_subsequence and every witness replay ask for
+# the same few (knot, character) values; all four arguments are frozen
+@lru_cache(maxsize=4096)
 def _cg_interval(profile, cover, chi, companion):
     """satellite_cg_value as a RatInterval (a point in exact mode)."""
     if not _character_in_group(chi, cover.group):
@@ -287,14 +290,9 @@ def _vectors(q, n):
     return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
 
 
-def _gens_by_rank(subs, n):
-    """(indices, generator tensor [G, r, n]) per generator count r."""
-    by_rank = {}
-    for i, s in enumerate(subs):
-        by_rank.setdefault(len(s.gens), []).append(i)
-    for r, members in by_rank.items():
-        gens = np.array([subs[i].gens for i in members], dtype=np.int64)
-        yield np.array(members), gens.reshape(len(members), r, n)
+# members coded at once: bounds the [chunk, order, n] member arrays
+# behind each chunk of codes to half a MB each
+_CODE_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -302,25 +300,23 @@ def _subgroups_with_elements(q, n, order):
     """(subgroups, codes [S, order]) cached.
 
     codes[s] lists the base-q code of every member of subgroup s, in the
-    deterministic coefficient-grid order of Subgroup.elements(), built
-    by one matrix product per row-order pattern.
+    deterministic coefficient-grid order of Subgroup.elements().  Each
+    batch of forms sharing a pivot pattern is coded straight from its
+    generator array, a chunk of forms at a time, into its sorted rows.
     """
     subs = enumerate_subgroups((q,) * n, order)
     codes = np.empty((len(subs), order), dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for members, gens in _gens_by_rank(subs, n):
-        # leading entry of every row, one integer key per row-order pattern
-        leads = np.take_along_axis(
-            gens, (gens != 0).argmax(axis=2)[..., None], axis=2
-        )[..., 0]
-        keys = leads @ q ** np.arange(gens.shape[1], dtype=np.int64)
-        for key in np.unique(keys):
-            same = keys == key
-            orders = (q // leads[same][0]).tolist()
-            coeffs = np.array(list(product(*map(range, orders))), dtype=np.int64)
-            block = coeffs @ gens[same]
-            codes[members[same]] = np.remainder(block, q, out=block) @ place
-            del block  # int64 with n entries per member: free it early
+    for positions, forms in subs.batches:
+        # each row's leading entry p^v gives its order q / p^v
+        orders = [q // int(row[row != 0][0]) for row in forms[0]]
+        coeffs = np.indices(orders, dtype=np.float64).reshape(len(orders), order).T
+        step = max(1, _CODE_CHUNK // (order * n))
+        for lo in range(0, len(forms), step):
+            # float64 products (BLAS) are exact: entries stay below s * q^2
+            members = (coeffs @ forms[lo:lo + step].astype(np.float64)).astype(np.int64)
+            members %= q
+            codes[positions[lo:lo + step]] = members @ place
     return subs, codes
 
 
@@ -366,9 +362,10 @@ def _self_annihilating_mask(inst, subs):
     b = ((Fraction(n_cover // q) ** 2 * lam) % 1).denominator
     signs = np.array([1] * inst.m + [-1] * inst.n_neg, dtype=np.int64)
     mask = np.empty(len(subs), dtype=bool)
-    for members, gens in _gens_by_rank(subs, inst.total):
+    for positions, forms in subs.batches:
+        gens = forms.astype(np.int64)
         gram = np.einsum("sia,a,sja->sij", gens, signs, gens)
-        mask[members] = (gram % b == 0).all(axis=(1, 2))
+        mask[positions] = (gram % b == 0).all(axis=(1, 2))
     return mask
 
 
@@ -417,9 +414,14 @@ def _subgroup_gen_texts(q, n, order):
     shares one list.
     """
     subs = _subgroups_with_elements(q, n, order)[0]
-    # generator rows repeat across subgroups: encode each distinct row once
-    rows = {r: _int_list_text(r) for r in {r for s in subs for r in s.gens}}
-    return tuple("[" + ",".join([rows[r] for r in s.gens]) + "]" for s in subs)
+    chi_t = _chi_texts(q, n)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    texts = [None] * len(subs)
+    for positions, forms in subs.batches:
+        # a generator row is a vector of (Z_q)^n: its text is its chi text
+        for i, row_codes in zip(positions.tolist(), (forms @ place).tolist()):
+            texts[i] = "[" + ",".join([chi_t[c] for c in row_codes]) + "]"
+    return tuple(texts)
 
 
 @lru_cache(maxsize=None)

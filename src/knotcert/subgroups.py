@@ -12,16 +12,24 @@ only needs a membership test against the finished suffix.  For k = 1
 every v_i is 0, the condition holds trivially and the forms are the
 reduced row echelon forms of F_p-subspaces.
 
-Subgroup orders here are tiny (the obstruction search caps the ambient
-group order), so clarity wins over asymptotics everywhere except the
-element-tensor helpers used by the witness search.
+Enumeration counts run to the millions ((Z_9)^5 has 1,288,651
+subgroups of order 243), so the forms are built as integer arrays, a
+whole batch of suffixes with one pivot pattern extended per array
+pass, and stay arrays: enumerate_subgroups sorts them with one
+lexsort and makes a Subgroup object only when one is accessed, while
+the witness search reads the batch arrays directly.  howell_form and
+Subgroup are the scalar reference the tests hold the arrays to.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+
+import numpy as np
 
 from .errors import HypothesisViolation
 from .covers import FiniteAbelianGroup
@@ -157,40 +165,137 @@ class Subgroup:
         return not any(v)
 
 
+# candidate (form, row) pairs tested at once: bounds the [F, G, n]
+# membership array of one extension step to 2^16 entries, or to one
+# form's G candidate rows when those alone are more
+_PAIR_CHUNK = 1 << 16
+
+
+def _in_span(w, forms, pivots, p, q):
+    """Mask [F, G]: does form f's span contain candidate vector w[g]?
+
+    Subgroup.contains's reduction, run over every pair at once: at most
+    one array step per row of the forms.
+    """
+    w = np.broadcast_to(w, (len(forms),) + w.shape).copy()
+    ok = np.ones(w.shape[:2], dtype=bool)
+    for j, (col, val) in enumerate(pivots):
+        c, r = np.divmod(w[:, :, col], p ** val)
+        ok &= r == 0
+        w -= c[:, :, None] * forms[:, None, j]
+        w %= q
+    return ok & ~w.any(axis=2)
+
+
 def _howell_forms(p, k, n, t):
-    """Every Howell form of order p^t in (Z_{p^k})^n, unsorted."""
+    """Every Howell form of order p^t in (Z_{p^k})^n, in batches.
+
+    Each batch is an array [F, s, n] of the forms sharing one pivot
+    pattern, rows in pivot order.  A batch of finished suffixes is
+    extended by every row with a given earlier pivot and valuation in one
+    pass: the candidate rows are one product grid of their free entries.
+    """
     q = p ** k
+    # entries, and every product in the membership test, lie in (-q^2, q^2)
+    dt = np.min_scalar_type(-q * q)
+    batches = []
 
-    def extend(suffix, limit, need):
-        # suffix is a finished form with every pivot at or after limit;
-        # prepend rows with pivots before limit until the order is p^t
+    def extend(forms, pivots, need):
+        # forms share pivots; prepend rows with earlier pivots until the
+        # order is p^t
         if need == 0:
-            yield suffix
+            batches.append(forms)
             return
-        span = Subgroup(q, n, suffix)
-        ranges = [range(q)] * n
-        for col, val in span.pivot_data:
-            ranges[col] = range(p ** val)
-        for col in range(limit):
-            for v in range(max(0, k - need), k):
-                rest = need - (k - v)
-                if rest > col * k:
-                    continue  # too few columns left before col
-                head = (0,) * col + (p ** v,)
-                for tail in product(*ranges[col + 1:]):
-                    row = head + tail
-                    # v = 0: p^k * row is 0, which every span contains
-                    if v == 0 or span.contains([x * p ** (k - v) for x in row]):
-                        yield from extend((row,) + suffix, col, rest)
+        sizes = [q] * n
+        for col, val in pivots:
+            sizes[col] = p ** val
+        for col in range(pivots[0][0] if pivots else n):
+            # valuations whose remaining order fits in the columns before col
+            vals = [v for v in range(max(0, k - need), k)
+                    if need - (k - v) <= col * k]
+            if not vals:
+                continue
+            grid = sizes[col + 1:]
+            rows = np.zeros((prod(grid), n), dtype=dt)
+            rows[:, col + 1:] = np.indices(grid, dtype=dt).reshape(
+                len(grid), len(rows)).T
+            step = max(1, _PAIR_CHUNK // (len(rows) * n))
+            for v in vals:
+                rows[:, col] = p ** v
+                shadow = rows * p ** (k - v) % q
+                parts = []
+                for lo in range(0, len(forms), step):
+                    part = forms[lo:lo + step]
+                    if v:
+                        ok = _in_span(shadow, part, pivots, p, q)
+                    else:  # p^k * row is 0, which every span contains
+                        ok = np.ones((len(part), len(rows)), dtype=bool)
+                    f, g = np.nonzero(ok)
+                    new = np.empty((len(f), len(pivots) + 1, n), dtype=dt)
+                    new[:, 0] = rows[g]
+                    new[:, 1:] = part[f]
+                    parts.append(new)
+                new = np.concatenate(parts)
+                if len(new):
+                    extend(new, ((col, v),) + pivots, need - (k - v))
 
-    return extend((), n, t)
+    extend(np.zeros((1, 0, n), dtype=dt), (), t)
+    return batches
+
+
+def _lex_order(batches):
+    """Permutation sorting the forms of all batches by their gens tuples.
+
+    Each form is flattened row by row and padded with -1, so a shorter
+    prefix sorts first.
+    """
+    width = max(1, max(f.shape[1] * f.shape[2] for f in batches))
+    keys = np.full((width, sum(map(len, batches))), -1, dtype=batches[0].dtype)
+    lo = 0
+    for forms in batches:
+        flat = forms.reshape(len(forms), -1)
+        keys[:flat.shape[1], lo:lo + len(forms)] = flat.T
+        lo += len(forms)
+    return np.lexsort(keys[::-1])
+
+
+class SubgroupList(Sequence):
+    """Subgroups of one enumeration, sorted by gens, built on access.
+
+    batches holds (positions, forms) pairs: forms [F, s, n] are Howell
+    forms sharing one pivot pattern and positions[f] is the sorted index
+    of form f.  Indexing, slicing and iteration make a Subgroup only for
+    the entries they return.
+    """
+
+    def __init__(self, modulus, n, batches):
+        self.modulus, self.n = modulus, n
+        self._starts = np.cumsum([0] + [len(f) for f in batches]).tolist()
+        self._order = _lex_order(batches)
+        positions = np.empty_like(self._order)
+        positions[self._order] = np.arange(len(self._order))
+        self.batches = tuple(
+            (positions[a:b], forms)
+            for a, b, forms in zip(self._starts, self._starts[1:], batches)
+        )
+
+    def __len__(self):
+        return len(self._order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        u = int(self._order[i])
+        b = bisect_right(self._starts, u) - 1
+        gens = self.batches[b][1][u - self._starts[b]].tolist()
+        return Subgroup(self.modulus, self.n, tuple(map(tuple, gens)))
 
 
 def enumerate_subgroups(group, target_order):
     """Every subgroup of (Z_{p^k})^N of exactly the given order.
 
-    Returned as Subgroup objects with canonical generators, sorted, no
-    duplicates.
+    Returned as a SubgroupList of Subgroups with canonical generators,
+    sorted by gens, no duplicates.
     """
     if target_order < 1:
         raise HypothesisViolation(f"target order {target_order} is not positive")
@@ -200,7 +305,7 @@ def enumerate_subgroups(group, target_order):
         factors = tuple(group)
     if not factors:
         if target_order == 1:
-            return [Subgroup(1, 0, ())]
+            return SubgroupList(1, 0, [np.zeros((1, 0, 0), dtype=np.int8)])
         raise HypothesisViolation("trivial group has only the order-1 subgroup")
     q = factors[0]
     if any(f != q for f in factors):
@@ -220,6 +325,4 @@ def enumerate_subgroups(group, target_order):
     t = tpp[0][1]
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
-    subs = [Subgroup(q, n, gens) for gens in _howell_forms(p, k, n, t)]
-    subs.sort(key=lambda s: s.gens)
-    return subs
+    return SubgroupList(q, n, _howell_forms(p, k, n, t))

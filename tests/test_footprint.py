@@ -1,19 +1,21 @@
-"""Memory footprint guards: bounded per-knot caches and a lazy hashlib.
+"""Memory footprint guards: bounded caches, lazy hashlib, lean tensors.
 
 A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
-and a process that never hashes a witness digest must not load OpenSSL.
+a process that never hashes a witness digest must not load OpenSSL, and
+building the sweep's code tensor must not cost many times its size.
 """
 
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import knotcert as kc
-from knotcert import covers, knots, signatures
+from knotcert import covers, knots, obstruction, signatures
 from strategies import dense_conjugate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,11 +25,14 @@ CACHE_BOUNDS = {
     knots._alexander_of_block: 64,
     covers.cover_presentation: 64,
     signatures._block_signature: 256,
+    obstruction._cg_interval: 4096,
 }
 
 
 def test_per_knot_caches_stay_bounded():
     rng = random.Random(100)
+    zero, wh11 = kc.CGProfile.zero(), kc.whitehead_cover(1, 1)
+    third = kc.Character((Fraction(1, 3),))
     base = kc.evaluate(kc.torus(2, 7)).rows
     seen = set()
     while len(seen) < 100:
@@ -42,6 +47,13 @@ def test_per_knot_caches_stay_bounded():
         for x in (Fraction(1, 14), Fraction(1, 3), Fraction(13, 14)):
             kc.levine_tristram(e, x)
         kc.homology_from_seifert(kc.evaluate(e))
+        kc.satellite_cg_value(zero, wh11, third, e)
+    # more (knot, character) pairs than the memo holds, cheaply: the
+    # unknot against the characters of a cyclic cover of order 5199
+    cover = kc.whitehead_cover(1, 1300)
+    for c in range(1, 4200):
+        kc.satellite_cg_value(zero, cover, kc.Character((Fraction(c, 5199),)),
+                              kc.unknot())
     for fn, bound in CACHE_BOUNDS.items():
         info = fn.cache_info()
         assert info.misses >= 100, (fn.__name__, info)
@@ -65,3 +77,17 @@ def test_hashlib_is_not_loaded_without_a_digest():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_code_tensor_build_peaks_near_its_size():
+    # (Z_3)^6 order 27: 33,880 subgroups, a 7.3 MB int64 code tensor;
+    # the member products behind it are built a bounded chunk at a time
+    obstruction._subgroups_with_elements.cache_clear()
+    tracemalloc.start()
+    try:
+        subs, codes = obstruction._subgroups_with_elements(3, 6, 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (33880, 27)
+    assert peak <= 3 * codes.nbytes, (peak, codes.nbytes)

@@ -1,6 +1,7 @@
 """Subgroup enumeration in homocyclic p-groups, checked by brute force."""
 
 import importlib.util
+import json
 from itertools import product
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
-from knotcert import obstruction
+from knotcert import cli, obstruction
 from oracles import brute_force_subgroups
 
 # the benchmark's closed-form counts, loaded from its file (it never
@@ -145,6 +146,39 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
         assert len({s.row_orders() for s in subs}) > 1
     for s, rows in zip(subs, obstruction._vectors(q, n)[codes].tolist()):
         assert [tuple(r) for r in rows] == s.elements()
+    # the batch arrays the tensor is built from place every form once,
+    # at the sorted index of its Subgroup
+    placed = []
+    for positions, forms in subs.batches:
+        assert len({s.pivot_data for s in map(subs.__getitem__, positions)}) == 1
+        for i, form in zip(positions.tolist(), forms.tolist()):
+            assert subs[i].gens == tuple(map(tuple, form))
+            placed.append(i)
+    assert sorted(placed) == list(range(len(subs)))
+
+
+def test_subgroup_list_indexes_like_a_sorted_list():
+    subs = kc.enumerate_subgroups((3, 3, 3), 9)
+    every = list(subs)
+    assert len(subs) == len(every) == 13
+    assert subs[-1] == every[-1] and subs[3:5] == every[3:5]
+    assert all(isinstance(s, kc.Subgroup) for s in every)
+    with pytest.raises(IndexError):
+        subs[13]
+    trivial = kc.enumerate_subgroups((), 1)
+    assert list(trivial) == [kc.Subgroup(1, 0, ())]
+    assert kc.enumerate_subgroups((5, 5), 1)[0].gens == ()
+
+
+def test_large_enumeration_counts_through_the_cli(capsys):
+    # (Z_9)^5 order 243: 1,288,651 subgroups, Birkhoff's count
+    assert cli.run(["subgroups", "9", "5", "243", "--limit", "1",
+                    "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["count"] == 1288651 == perfbench_checks.subgroup_count(3, 2, 5, 5)
+    assert data["truncated"] and len(data["generators"]) == 1
+    (gens,) = data["generators"]
+    assert kc.howell_form(gens, 5, 9) == tuple(map(tuple, gens))
 
 
 def test_enumeration_is_deterministic():
