@@ -294,7 +294,7 @@ def _replay_witnesses(data, pattern, profile, family, problems):
             problems.append(f"combo {coeffs} cannot be replayed: {ex}")
             continue
         for w in combo.get("witnesses", ()):
-            chis = tuple(_component_character(inst, c) for c in w["chi"])
+            chis = tuple(_component_character(q, c) for c in w["chi"])
             try:
                 val = obstruction_sum(inst, chis)
             except KnotcertError as ex:

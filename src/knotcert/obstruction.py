@@ -49,8 +49,10 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         assert self.lo <= self.hi
 
     @classmethod
@@ -260,9 +262,10 @@ class ObstructionInstance:
         return self.m + self.n_neg
 
 
-def _component_character(inst, c):
-    """Character of the pattern cover group with chi(gen) = c / p^k."""
-    q = inst.p ** inst.k
+# typed: a replayed certificate's 1.0 or True is not taken for the int 1
+@lru_cache(maxsize=4096, typed=True)
+def _component_character(q, c):
+    """Character of the cyclic pattern cover group Z_q with chi(gen) = c / q."""
     return Character((Fraction(c % q, q),))
 
 
@@ -272,12 +275,16 @@ def obstruction_sum(inst, chi_tuple):
         raise HypothesisViolation(
             f"need {inst.total} characters (one per summand), got {len(chi_tuple)}"
         )
-    total = RatInterval.point(0)
+    lo = hi = Fraction(0)
     for chi, knot in zip(chi_tuple[: inst.m], inst.positive_side):
-        total = total + _cg_interval(inst.profile, inst.pattern, chi, knot)
+        iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
+        lo += iv.lo
+        hi += iv.hi
     for chi, knot in zip(chi_tuple[inst.m:], inst.negative_side):
-        total = total - _cg_interval(inst.profile, inst.pattern, chi, knot)
-    return total.unwrap()
+        iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
+        lo -= iv.hi
+        hi -= iv.lo
+    return RatInterval(lo, hi).unwrap()
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def _value_tables(inst):
     for knot, sign in signed:
         row_lo, row_hi = [], []
         for c in range(q):
-            chi = _component_character(inst, c)
+            chi = _component_character(q, c)
             iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
             if sign < 0:
                 iv = -iv

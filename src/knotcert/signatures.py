@@ -21,9 +21,13 @@ Exactness strategy, per eigenvalue sign:
   B = Q* A Q, where Q is a floating approximation of the eigenvector
   matrix and B is evaluated in outward-rounded interval arithmetic.
   B is congruent to A, so by Sylvester's law its signature equals the
-  signature of A; the discs are refined at increasing precision until
-  exactly the known number of them straddle zero.  A sign is never
-  accepted from an uncertified float.
+  signature of A.  The first pass is in double-precision
+  midpoint/radius form, with omega enclosed by integer fixed-point
+  arithmetic (no mpmath).  Only when its discs are inconclusive does
+  the mpmath interval fallback refine them at increasing precision
+  until exactly the known number straddle zero; mpmath is imported
+  there and nowhere else.  A sign is never accepted from an
+  uncertified float.
 
 Values at rational x are queried through levine_tristram; whole step
 functions (jump locus + interval values) through signature_function.
@@ -38,7 +42,6 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-import mpmath as mp
 
 from .errors import (
     ExpressionError,
@@ -114,32 +117,86 @@ def _as_circle_fraction(x):
 
 # ---------------------------------------------------------------------------
 # rigorous double-precision pass (midpoint/radius interval algebra)
+#
+# omega = e^{2 pi i j/d} enters as integer fixed-point cos and sin with
+# counted error bounds, rounded out to doubles: this pass needs only
+# numpy and Python integers, and mpmath serves the fallback alone.
 
 _EPS = 2.0 ** -53
 _INFLATE = 1.0 + 2.0 ** -40
 _ETA = 1e-290
 
+# omega is enclosed in fixed point: an integer v stands for v / 2^_BITS,
+# and every error bound below counts units of 2^-_BITS
+_BITS = 160
+_ONE = 1 << _BITS
+_E8 = 2981  # > e^8
+
+
+def _arctan_inv(x):
+    """(a, k): |a - _ONE atan(1/x)| < 3k + 2 for an integer x >= 5.
+
+    Each power _ONE / x^(2i+1) is floored and carries the previous
+    power's error divided by x^2, so it is low by less than 2, and its
+    term, floored once more, by less than 3.  The loop stops at the
+    first power that floors to 0, whose exact value is below 2, so the
+    alternating tail from there on is below 2.
+    """
+    power, x2 = _ONE // x, x * x
+    total, k = 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        power //= x2
+        k += 1
+    return total, k
+
+
+def _machin_pi():
+    """(v, err): |v - pi _ONE| < err, from pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a5, k5 = _arctan_inv(5)
+    a239, k239 = _arctan_inv(239)
+    return 16 * a5 - 4 * a239, 16 * (3 * k5 + 2) + 4 * (3 * k239 + 2)
+
+
+_PI, _PI_ERR = _machin_pi()
+
+
+def _fixed_to_midrad(v, err):
+    """(mid, rad) doubles whose disc holds [v - err, v + err] / _ONE."""
+    mid = v / _ONE  # correctly rounded
+    num, den = mid.as_integer_ratio()  # den is a power of two
+    gap = abs(v * den - num * _ONE) + err * den
+    return mid, (gap / (den * _ONE)) * _INFLATE + _ETA
+
 
 @lru_cache(maxsize=4096)
 def _omega_enclosure(j, d):
-    """(cos, sin) of 2 pi j/d as (mid, rad) doubles, rigorously."""
-    old = mp.iv.prec
-    try:
-        mp.iv.prec = 80
-        theta = 2 * mp.iv.pi * j / d
-        c, s = mp.iv.cos(theta), mp.iv.sin(theta)
-        cm, cr = _mpi_to_midrad(c)
-        sm, sr = _mpi_to_midrad(s)
-    finally:
-        mp.iv.prec = old
+    """(cos, sin) of 2 pi j/d as (mid, rad) doubles, rigorously.
+
+    theta = 2 pi (j mod d)/d lies in [0, 8), and its fixed-point value
+    t is floored from _PI, so it is off by less than 2 _PI_ERR + 1 units;
+    cos and sin are 1-Lipschitz, so that error passes through unchanged.
+    The Taylor terms term_k = term_{k-1} t / (k _ONE) are floored, each
+    low by less than sum_i (t/_ONE)^i / i! < e^8 units.  The first term that
+    floors to 0 (at k = K) is below e^8 units and the tail from it on
+    shrinks at least geometrically by 8/9, so the sums of cos and sin
+    are each off by less than (K + 9) e^8 units in all.
+    """
+    t = 2 * _PI * (j % d) // d
+    cos_v = sin_v = 0
+    term, k = _ONE, 0
+    while term:
+        if k % 2:
+            sin_v += -term if k % 4 == 3 else term
+        else:
+            cos_v += -term if k % 4 == 2 else term
+        k += 1
+        term = term * t // (k * _ONE)
+    err = (k + 9) * _E8 + 2 * _PI_ERR + 1
+    cm, cr = _fixed_to_midrad(cos_v, err)
+    sm, sr = _fixed_to_midrad(sin_v, err)
     return cm, cr, sm, sr
-
-
-def _mpi_to_midrad(x):
-    lo, hi = float(mp.mpf(x.a)), float(mp.mpf(x.b))
-    mid = 0.5 * (lo + hi)
-    rad = max(mid - lo, hi - mid) * _INFLATE + _ETA
-    return mid, rad
 
 
 def _hermitian_form(block, j, d):
@@ -221,9 +278,12 @@ def _certify_double(block, j, d, nullity):
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision fallback (mpmath interval arithmetic)
+# arbitrary-precision fallback (mpmath interval arithmetic), the only
+# user of mpmath
 
 def _certify_mp(block, j, d, nullity, prec):
+    import mpmath as mp  # loaded only when the double pass declines
+
     n = len(block)
     with mp.workprec(prec):
         w = mp.e ** (2j * mp.pi * j / d)

@@ -317,12 +317,15 @@ def enumerate_subgroups(group, target_order):
         raise HypothesisViolation(f"{q} is not a prime power")
     ((p, k),) = pp
     n = len(factors)
-    tpp = prime_powers(target_order) if target_order > 1 else ((p, 0),)
-    if len(tpp) != 1 or tpp[0][0] != p:
+    # divide out the known p rather than factor the order
+    t, rest = 0, target_order
+    while rest % p == 0:
+        rest //= p
+        t += 1
+    if rest != 1:
         raise HypothesisViolation(
             f"target order {target_order} is not a power of {p}"
         )
-    t = tpp[0][1]
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
     return SubgroupList(q, n, _howell_forms(p, k, n, t))

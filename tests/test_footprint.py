@@ -1,9 +1,11 @@
-"""Memory footprint guards: bounded caches, lazy hashlib, lean tensors.
+"""Memory footprint guards: bounded caches, lazy imports, lean tensors.
 
 A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
-a process that never hashes a witness digest must not load OpenSSL, and
-building the sweep's code tensor must not cost many times its size.
+a process that never hashes a witness digest must not load OpenSSL, one
+whose double-precision signature pass certifies every sign must not load
+mpmath, and building the sweep's code tensor must not cost many times
+its size.
 """
 
 import os
@@ -74,6 +76,26 @@ def test_hashlib_is_not_loaded_without_a_digest():
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NO_HASHLIB], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_MPMATH = """
+import sys
+import knotcert.cli
+assert "mpmath" not in sys.modules, "import knotcert.cli loaded mpmath"
+from knotcert import cli
+assert cli.run(["sig", "torus(2,5)", "--at", "1/3"]) == 0
+assert "mpmath" not in sys.modules, "the double-precision pass loaded mpmath"
+"""
+
+
+def test_mpmath_is_not_loaded_without_a_precision_fallback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

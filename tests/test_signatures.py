@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 
@@ -153,6 +154,32 @@ def test_mpmath_no_convergence_climbs_the_ladder(monkeypatch, capsys):
     finally:
         signatures._block_signature.cache_clear()
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the double pass's integer enclosure of omega
+
+def _assert_encloses(points):
+    # at 400 bits the oracle's own error is far below the 2^-140 or so
+    # that every radius has on top of the midpoint's rounding
+    with mp.workprec(400):
+        for j, d in points:
+            cm, cr, sm, sr = signatures._omega_enclosure(j, d)
+            assert cr < 1e-15 and sr < 1e-15, (j, d, cr, sr)
+            theta = 2 * mp.pi * j / d
+            assert abs(mp.cos(theta) - cm) <= cr, (j, d, "cos", cm, cr)
+            assert abs(mp.sin(theta) - sm) <= sr, (j, d, "sin", sm, sr)
+
+
+def test_omega_enclosure_holds_every_small_root_of_unity():
+    _assert_encloses((j, d) for d in range(1, 201) for j in range(d))
+
+
+@pytest.mark.parametrize("d", [2 ** 61 - 1, 10 ** 21 + 117])
+def test_omega_enclosure_holds_at_huge_orders(d):
+    rng = random.Random(d)
+    js = [1, d - 1, d // 2, d // 4] + [rng.randrange(d) for _ in range(200)]
+    _assert_encloses((j, d) for j in js)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -13,11 +16,12 @@ import knotcert as kc
 from knotcert import cli, obstruction
 from oracles import brute_force_subgroups
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # the benchmark's closed-form counts, loaded from its file (it never
 # imports knotcert, so it is an independent check)
 _spec = importlib.util.spec_from_file_location(
-    "perfbench_checks",
-    Path(__file__).resolve().parent.parent / "perfbench" / "checks.py",
+    "perfbench_checks", ROOT / "perfbench" / "checks.py",
 )
 perfbench_checks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perfbench_checks)
@@ -194,6 +198,35 @@ def test_enumeration_validates_inputs():
         kc.enumerate_subgroups((3, 6), 3)
     with pytest.raises(kc.HypothesisViolation):
         kc.enumerate_subgroups((3, 3), 27)  # exceeds the group order
+
+
+_LARGE_PRIME_ORDER = """
+import time
+from knotcert import cli
+start = time.perf_counter()
+code = cli.run(["subgroups", "4294967291", "2", "18446744030759878681"])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_large_prime_order_is_checked_without_factoring(capsys):
+    # the target order is the whole group (4294967291^2, one subgroup);
+    # factoring it by trial division would not end.  A subprocess keeps
+    # a regression from hanging the suite.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_PRIME_ORDER], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, *_, last = proc.stdout.splitlines()
+    assert first.startswith("1 subgroups of (Z_4294967291)^2")
+    code, seconds = last.split()
+    assert code == "0" and float(seconds) < 1.0, proc.stdout
+    # an order that is not a power of p is still a mapped usage error
+    assert cli.run(["subgroups", "9", "3", "6"]) == 2
+    assert "not a power of 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
