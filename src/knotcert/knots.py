@@ -31,7 +31,8 @@ class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = +1.
 
     The difference V - V^T is skew, so unimodularity is equivalent to
-    det(V - V^T) = +1 exactly; it is checked on construction.
+    det(V - V^T) = +1 exactly; it is checked on construction, except for
+    the matrices mirror and block_diagonal derive from checked ones.
     """
 
     rows: tuple
@@ -52,6 +53,13 @@ class SeifertMatrix:
                 "not a Seifert matrix: det(V - V^T) != 1"
             )
 
+    @classmethod
+    def _derived(cls, rows):
+        """Matrix of int-tuple rows whose V - V^T is known unimodular."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "rows", rows)
+        return v
+
     @property
     def size(self):
         return len(self.rows)
@@ -61,10 +69,12 @@ class SeifertMatrix:
         return len(self.rows) // 2
 
     def mirror(self):
-        """Seifert matrix -V^T of the mirror image."""
-        n = self.size
-        return SeifertMatrix(
-            tuple(tuple(-self.rows[j][i] for j in range(n)) for i in range(n))
+        """Seifert matrix -V^T of the mirror image.
+
+        -V^T - (-V^T)^T = V - V^T, so it needs no check of its own.
+        """
+        return SeifertMatrix._derived(
+            tuple(tuple(-x for x in col) for col in zip(*self.rows))
         )
 
     def symmetrized(self):
@@ -77,7 +87,11 @@ class SeifertMatrix:
 
     @classmethod
     def block_diagonal(cls, parts):
-        """Orthogonal sum of the given matrices, built in one pass."""
+        """Orthogonal sum of the given matrices, built in one pass.
+
+        Its V - V^T is block diagonal with determinant the product of
+        the parts' determinants, 1, so it needs no check of its own.
+        """
         n = sum(part.size for part in parts)
         rows = []
         offset = 0
@@ -85,7 +99,7 @@ class SeifertMatrix:
             left, right = (0,) * offset, (0,) * (n - offset - part.size)
             rows.extend(left + row + right for row in part.rows)
             offset += part.size
-        return cls(tuple(rows))
+        return cls._derived(tuple(rows))
 
     def diagonal_blocks(self):
         """Partition of indices into connected components of the support.

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import lcm
+from operator import add
 
 import numpy as np
 
@@ -297,34 +298,85 @@ def _vectors(q, n):
     return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
 
 
-# members coded at once: bounds the [chunk, order, n] member arrays
-# behind each chunk of codes to half a MB each
-_CODE_CHUNK = 1 << 16
-
-
 @lru_cache(maxsize=None)
-def _subgroups_with_elements(q, n, order):
-    """(subgroups, codes [S, order]) cached.
+def _candidates(q, n, order):
+    """(subgroups, pattern groups, column memo) of one candidate family.
 
-    codes[s] lists the base-q code of every member of subgroup s, in the
-    deterministic coefficient-grid order of Subgroup.elements().  Each
-    batch of forms sharing a pivot pattern is coded straight from its
-    generator array, a chunk of forms at a time, into its sorted rows.
+    The forms are regrouped by row-order pattern (one group when k = 1)
+    as (orders, positions, rows) with rows [s, F, n] in the forms' own
+    small dtype, so member j of every form of a group is one
+    coefficient vector applied to s row arrays.  The memo maps a grid
+    index j to its _grid_column, filled on first use.
     """
     subs = enumerate_subgroups((q,) * n, order)
-    codes = np.empty((len(subs), order), dtype=np.int64)
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    patterns = {}
     for positions, forms in subs.batches:
         # each row's leading entry p^v gives its order q / p^v
-        orders = [q // int(row[row != 0][0]) for row in forms[0]]
-        coeffs = np.indices(orders, dtype=np.float64).reshape(len(orders), order).T
-        step = max(1, _CODE_CHUNK // (order * n))
-        for lo in range(0, len(forms), step):
-            # float64 products (BLAS) are exact: entries stay below s * q^2
-            members = (coeffs @ forms[lo:lo + step].astype(np.float64)).astype(np.int64)
-            members %= q
-            codes[positions[lo:lo + step]] = members @ place
-    return subs, codes
+        orders = tuple(q // int(row[row != 0][0]) for row in forms[0])
+        patterns.setdefault(orders, []).append((positions, forms))
+    groups = []
+    for orders, parts in patterns.items():
+        positions = np.concatenate([pos for pos, _ in parts])
+        rows = np.empty((len(orders), len(positions), n), dtype=parts[0][1].dtype)
+        lo = 0
+        for _, forms in parts:
+            rows[:, lo:lo + len(forms)] = forms.transpose(1, 0, 2)
+            lo += len(forms)
+        groups.append((orders, positions, rows))
+    return subs, tuple(groups), {}
+
+
+def _grid_column(q, n, order, j):
+    """Base-q code of member j of every candidate, in enumeration order.
+
+    Member j is the j-th point of the coefficient grid that
+    Subgroup.elements() walks; every candidate has exactly order points.
+    Codes use the smallest unsigned dtype holding q^n - 1, and each
+    column is built once per family.
+    """
+    subs, groups, memo = _candidates(q, n, order)
+    col = memo.get(j)
+    if col is None:
+        dtype = np.min_scalar_type(q ** n - 1)
+        col = np.empty(len(subs), dtype=dtype)
+        place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
+        for orders, positions, rows in groups:
+            member = np.zeros(rows.shape[1:], dtype=rows.dtype)
+            for c, row in zip(np.unravel_index(j, orders), rows):
+                if c:
+                    # entries stay below q^2, which the forms' dtype holds
+                    member += int(c) * row
+                    member %= q
+            # summed in the code dtype, with no wide copy of the members
+            col[positions] = np.einsum("fn,n->f", member, place, dtype=dtype,
+                                       casting="unsafe")
+        memo[j] = col
+    return col
+
+
+def _first_witnesses(q, n, order, rows, good):
+    """(codes, None), or (None, i) when some swept subgroup has no witness.
+
+    rows lists the swept subgroups' enumeration indices in increasing
+    order and good[c] says whether the member with base-q code c is a
+    witness.  codes[i] is the code of the first witness of subgroup
+    rows[i] in grid order; i is the first subgroup, in enumeration
+    order, whose whole grid misses.  The grid is walked one column at a
+    time over the subgroups still without a witness, and most find one
+    in a few columns.
+    """
+    first = np.zeros(len(rows), dtype=np.intp)
+    pending = np.arange(len(rows))
+    for j in range(order):
+        if not len(pending):
+            break
+        codes = _grid_column(q, n, order, j)[rows[pending]]
+        hit = good[codes]
+        first[pending[hit]] = codes[hit]
+        pending = pending[~hit]
+    if len(pending):
+        return None, int(pending[0])
+    return first, None
 
 
 def _value_tables(inst):
@@ -385,9 +437,9 @@ def _self_annihilating_mask(inst, subs):
 # canonical JSON array of those forms.  Inline witnesses go through
 # witness_json; a digest-only family is assembled from pre-encoded
 # pieces instead (_witness_texts): generator text cached per subgroup,
-# chi text looked up by the base-q code of the coefficient row, and one
-# value text per distinct value, so no witness needs a dict, a
-# json.dumps or a Fraction of its own.
+# and, since a witness's chi and value are both functions of its base-q
+# code, one head text (chi) and one tail text (value) per distinct code,
+# so no witness needs a dict, a json.dumps or a Fraction of its own.
 
 def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -416,19 +468,20 @@ def _int_list_text(values):
 def _subgroup_gen_texts(q, n, order):
     """Canonical JSON text of each subgroup's generator rows.
 
-    Listed in the enumeration order of _subgroups_with_elements, so
-    every combo (and every recomputation) with the same (q, n, order)
-    shares one list.
+    Listed in the enumeration order of _candidates, so every combo (and
+    every recomputation) with the same (q, n, order) shares one list.
     """
-    subs = _subgroups_with_elements(q, n, order)[0]
+    subs = _candidates(q, n, order)[0]
     chi_t = _chi_texts(q, n)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    texts = [None] * len(subs)
+    texts = np.empty(len(subs), dtype=object)
     for positions, forms in subs.batches:
-        # a generator row is a vector of (Z_q)^n: its text is its chi text
-        for i, row_codes in zip(positions.tolist(), (forms @ place).tolist()):
-            texts[i] = "[" + ",".join([chi_t[c] for c in row_codes]) + "]"
-    return tuple(texts)
+        # a generator row is a vector of (Z_q)^n: its text is its chi
+        # text, and one format joins a form's rows
+        fmt = "[" + ",".join(["%s"] * forms.shape[1]) + "]"
+        rows = [map(chi_t.__getitem__, c) for c in (forms @ place).T.tolist()]
+        texts[positions] = list(map(fmt.__mod__, zip(*rows)))
+    return tuple(texts.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -437,25 +490,30 @@ def _chi_texts(q, n):
     return tuple(map(_int_list_text, _vectors(q, n).tolist()))
 
 
-def _witness_texts(q, n, order, picked, codes, lo, hi, den):
+def _witness_texts(q, n, order, picked, codes, sum_lo, sum_hi, den):
     """Canonical JSON text of each witness, in family order.
 
     picked indexes the swept subgroups in enumeration order, codes is
-    the int array of witness base-q codes, and lo/hi/den give each
-    witness value as the integer numerators lo/den and hi/den.  A
-    generator: the pieces are built when the digest starts consuming it.
+    the int array of witness base-q codes, and sum_lo/sum_hi are the
+    sweep's tables, so code c has the value sum_lo[c]/den to
+    sum_hi[c]/den.  Each text is the head of its code, the text of its
+    subgroup and the tail of its code.  A generator: the pieces are
+    built when the digest starts consuming it.
     """
     gen_t = _subgroup_gen_texts(q, n, order)
     chi_t = _chi_texts(q, n)
-    values = list(zip(lo.tolist(), hi.tolist()))
-    val_t = {
-        (a, b): _canonical_json(value_json(
-            RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()))
-        for a, b in set(values)
-    }
+    distinct, which = np.unique(codes, return_inverse=True)
+    heads, tails = [], []
     # keys in sorted order, as _canonical_json(witness_json(...)) writes them
-    for g, c, v in zip(picked, codes.tolist(), values):
-        yield f'{{"chi":{chi_t[c]},"subgroup":{gen_t[g]},"value":{val_t[v]}}}'
+    for c in distinct.tolist():
+        value = RatInterval(Fraction(int(sum_lo[c]), den),
+                            Fraction(int(sum_hi[c]), den)).unwrap()
+        heads.append(f'{{"chi":{chi_t[c]},"subgroup":')
+        tails.append(f',"value":{_canonical_json(value_json(value))}}}')
+    which = which.tolist()
+    yield from map(add, map(add, map(heads.__getitem__, which),
+                            map(gen_t.__getitem__, picked)),
+                   map(tails.__getitem__, which))
 
 
 # witnesses per hashed chunk: about 100 kB of text, small enough to stay
@@ -549,38 +607,34 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
             f"budget {max_group_order}"
         )
     target = inst.p ** (inst.k * total // 2)
-    subs, codes = _subgroups_with_elements(q, total, target)
-    picked = list(range(len(subs)))
+    subs = _candidates(q, total, target)[0]
+    rows, picked = np.arange(len(subs)), range(len(subs))
     if self_annihilating_only:
-        picked = np.flatnonzero(_self_annihilating_mask(inst, subs)).tolist()
-        codes = codes[picked]
+        rows = np.flatnonzero(_self_annihilating_mask(inst, subs))
+        picked = rows.tolist()
     lo_f, hi_f = _value_tables(inst)
     den = lcm(*[f.denominator for row in lo_f + hi_f for f in row], 1)
     lo_t = np.array([[int(f * den) for f in row] for row in lo_f], dtype=np.int64)
     hi_t = np.array([[int(f * den) for f in row] for row in hi_f], dtype=np.int64)
     # the obstruction sum of every character tuple, by base-q code, so
     # each subgroup member's sum is one lookup: at most q^total entries,
-    # which max_group_order caps, and when total >= 2 every tuple lies
-    # in some candidate subgroup, so the tables are never larger than
-    # the code tensor
+    # which max_group_order caps
     vecs = _vectors(q, total)
     cols = np.arange(total)
     sum_lo = lo_t[cols, vecs].sum(axis=1)
     sum_hi = hi_t[cols, vecs].sum(axis=1)
-    witness_mask = ((sum_lo > 0) | (sum_hi < 0))[codes]
-    per_sub = witness_mask.any(axis=1)
-    if not bool(per_sub.all()):
-        bad = int(np.argmin(per_sub))
+    first, bad = _first_witnesses(
+        q, total, target, rows, (sum_lo > 0) | (sum_hi < 0))
+    if first is None:
         return SliceObstructionResult(
             False, "vanishing-subgroup", inst.p, inst.k, total, len(picked),
             failed_subgroup=subs[picked[bad]].gens,
             profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
-    first = codes[np.arange(len(picked)), np.argmax(witness_mask, axis=1)]
     if witness_cap is not None and len(picked) > witness_cap:
         digest = witness_list_digest(_witness_texts(
-            q, total, target, picked, first, sum_lo[first], sum_hi[first], den,
+            q, total, target, picked, first, sum_lo, sum_hi, den,
         ))
         witnesses = ()
     else:

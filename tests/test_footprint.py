@@ -4,8 +4,7 @@ A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
 a process that never hashes a witness digest must not load OpenSSL, one
 whose double-precision signature pass certifies every sign must not load
-mpmath, and building the sweep's code tensor must not cost many times
-its size.
+mpmath, and the sweep must code only the candidate members it reads.
 """
 
 import os
@@ -101,15 +100,38 @@ def test_mpmath_is_not_loaded_without_a_precision_fallback():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_code_tensor_build_peaks_near_its_size():
-    # (Z_3)^6 order 27: 33,880 subgroups, a 7.3 MB int64 code tensor;
-    # the member products behind it are built a bounded chunk at a time
-    obstruction._subgroups_with_elements.cache_clear()
+def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
+    # (Z_3)^6 order 27: 33,880 candidates of 27 members each, whose codes
+    # as one int64 tensor took 7.3 MB.  The two 3 + 3 combos of a
+    # certify-z3 job find every witness within the first grid columns,
+    # so the sweep codes only those; the peak is taken when the digest
+    # starts, after the family is enumerated and the walk is done.
+    tensor_bytes = 33880 * 27 * 8
+    k1 = kc.mirror(kc.torus(2, 7))
+    k3 = kc.multiple(3, k1)
+    cover = kc.whitehead_cover(-1, -1)
+    insts = [kc.ObstructionInstance(cover, kc.CGProfile.zero(), (a,) * 3,
+                                    (b,) * 3, 3, 1)
+             for a, b in ((k1, k3), (k3, k1))]
+    for inst in insts:
+        obstruction._value_tables(inst)  # signatures, outside the trace
+    peaks = []
+    texts = obstruction._witness_texts
+
+    def traced_texts(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return texts(*args)
+
+    monkeypatch.setattr(obstruction, "_witness_texts", traced_texts)
+    obstruction._candidates.cache_clear()
     tracemalloc.start()
     try:
-        subs, codes = obstruction._subgroups_with_elements(3, 6, 27)
-        peak = tracemalloc.get_traced_memory()[1]
+        results = [kc.check_slice_obstruction(inst, witness_cap=200)
+                   for inst in insts]
     finally:
         tracemalloc.stop()
-    assert codes.shape == (33880, 27)
-    assert peak <= 3 * codes.nbytes, (peak, codes.nbytes)
+    assert all(r.obstructed and r.subgroup_count == 33880 for r in results)
+    memo = obstruction._candidates(3, 6, 27)[2]
+    assert 0 in memo and len(memo) <= 5, sorted(memo)
+    # measured 3.55 MB: the enumeration, its regrouped rows and 5 columns
+    assert len(peaks) == 2 and peaks[0] <= 0.6 * tensor_bytes, peaks

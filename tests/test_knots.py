@@ -7,6 +7,7 @@ from hypothesis import given
 import knotcert as kc
 from strategies import knot_exprs
 from knotcert.polynomials import det_int
+from knotcert.snf import is_unimodular
 from oracles import sympy_alexander_coeffs
 
 
@@ -86,6 +87,33 @@ def test_mirror_transposes_and_negates(e):
     for i in range(n):
         for j in range(n):
             assert m.rows[i][j] == -v.rows[j][i]
+
+
+@given(knot_exprs())
+def test_derived_matrices_equal_the_checked_construction(e):
+    # mirror and block_diagonal skip the Smith-form check: what they build
+    # must be exactly what the checked constructor accepts
+    for v in (kc.evaluate(e), kc.evaluate(kc.mirror(e)),
+              kc.evaluate(kc.connected_sum(e, kc.mirror(e))),
+              kc.evaluate(kc.multiple(3, e)), kc.evaluate(kc.multiple(-2, e))):
+        checked = kc.SeifertMatrix(v.rows)
+        assert checked == v and hash(checked) == hash(v)
+        assert checked.diagonal_blocks() == v.diagonal_blocks()
+        assert all(type(x) is int for row in v.rows for x in row)
+        n = v.size
+        assert is_unimodular(
+            [[v.rows[i][j] - v.rows[j][i] for j in range(n)] for i in range(n)]
+        )
+
+
+def test_raw_still_checks_inside_derived_expressions():
+    bad = ((1, 2), (0, 1))  # det(V - V^T) = 4
+    for text in ("mirror([[1,2],[0,1]])", "3*[[1,2],[0,1]]",
+                 "torus(2,3) # [[1,2],[0,1]]"):
+        with pytest.raises(kc.ExpressionError):
+            kc.evaluate(kc.parse_knot(text))
+    with pytest.raises(kc.ExpressionError):
+        kc.evaluate(kc.mirror(kc.raw(bad)))
 
 
 def test_connected_sum_is_block_diagonal():

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -281,17 +282,21 @@ def test_self_annihilating_filter_narrows_candidates():
     assert sa_gens <= {w[0] for w in res_all.witnesses}
 
 
-def _first_witness_oracle(inst):
+def _first_witness_oracle(inst, keep=None):
     """(witnesses, None) or (None, failed gens), one element at a time.
 
-    Walks every candidate subgroup's Subgroup.elements() through the
-    scalar obstruction_sum; the witness is the first element whose sum
+    Walks every candidate subgroup's Subgroup.elements() (those whose
+    keep entry is true, when keep is given) through the scalar
+    obstruction_sum; the witness is the first element whose sum
     excludes 0, and the first subgroup without one fails the sweep.
     """
     q = inst.p ** inst.k
     target = inst.p ** (inst.k * inst.total // 2)
+    subs = kc.enumerate_subgroups((q,) * inst.total, target)
     witnesses = []
-    for s in kc.enumerate_subgroups((q,) * inst.total, target):
+    for s, kept in zip(subs, keep or [True] * len(subs)):
+        if not kept:
+            continue
         for e in s.elements():
             chis = tuple(Character((Fraction(c, q),)) for c in e)
             value = kc.obstruction_sum(inst, chis)
@@ -332,6 +337,89 @@ def test_sweep_matches_first_witness_oracle():
         else:
             assert not res.obstructed and res.failed_subgroup == failed
     assert verdicts == [True, False, False, True, True]
+
+
+def _scalar_first_match(q, n, order, rows, good):
+    """The column walk's answer, one Subgroup.elements() list at a time."""
+    subs = kc.enumerate_subgroups((q,) * n, order)
+    place = [q ** (n - 1 - i) for i in range(n)]
+    codes = []
+    for i, r in enumerate(rows):
+        for e in subs[r].elements():
+            c = sum(x * w for x, w in zip(e, place))
+            if good[c]:
+                codes.append(c)
+                break
+        else:
+            return None, i
+    return codes, None
+
+
+@pytest.mark.parametrize("q,n,order", [(3, 4, 9), (9, 2, 9), (5, 4, 25)])
+def test_column_walk_matches_scalar_first_match(q, n, order):
+    rng = np.random.default_rng(q * 100 + n)
+    count = len(obstruction._candidates(q, n, order)[0])
+    everything = np.arange(count)
+    # a proper subset that skips the first subgroups, as the
+    # self-annihilating filter does
+    subset = np.flatnonzero(rng.random(count) < 0.4)
+    subset = subset[subset > 0]
+    assert 0 < len(subset) < count - 1
+    walked = vanished = 0
+    for density in (0.02, 0.1, 0.3, 0.7):
+        for _ in range(4):
+            good = rng.random(q ** n) < density
+            for rows in (everything, subset):
+                first, bad = obstruction._first_witnesses(q, n, order, rows, good)
+                codes, failed = _scalar_first_match(q, n, order, rows.tolist(), good)
+                assert bad == failed
+                if codes is None:
+                    assert first is None
+                    vanished += 1
+                else:
+                    assert first.tolist() == codes
+                    walked += 1
+    assert walked and vanished
+    # an all-false mask: every subgroup vanishes, the first one is reported
+    none = np.zeros(q ** n, dtype=bool)
+    assert obstruction._first_witnesses(q, n, order, everything, none) == (None, 0)
+    assert obstruction._first_witnesses(q, n, order, subset, none) == (None, 0)
+    # nothing swept: no witness is needed
+    first, bad = obstruction._first_witnesses(
+        q, n, order, everything[:0], none)
+    assert len(first) == 0 and bad is None
+
+
+def test_vanishing_subgroup_is_the_first_in_enumeration_order():
+    # (Z_3)^4 with duplicated sides: many candidates vanish; the sweep
+    # names the first of them among the swept ones, with or without the
+    # self-annihilating filter
+    dup = (kc.mirror(kc.torus(2, 3)), kc.mirror(kc.torus(2, 3)))
+    inst = kc.ObstructionInstance(wh11(), kc.CGProfile.zero(), dup, dup, 3, 1)
+    subs = kc.enumerate_subgroups((3,) * 4, 9)
+    mask = obstruction._self_annihilating_mask(inst, subs)
+
+    def vanishes(s):
+        return all(kc.obstruction_sum(inst, _chis(e)) == 0 for e in s.elements())
+
+    for only, swept in ((False, list(subs)),
+                        (True, [s for s, m in zip(subs, mask) if m])):
+        res = kc.check_slice_obstruction(inst, self_annihilating_only=only)
+        assert not res.obstructed and res.subgroup_count == len(swept)
+        expect = next(s for s in swept if vanishes(s))
+        assert res.failed_subgroup == expect.gens
+    # the filtered sweep skips the first candidates of the family
+    assert not mask[0]
+
+
+def test_filtered_sweep_matches_first_witness_oracle():
+    inst, kwargs, _ = _digest_case("self-annihilating")
+    res = kc.check_slice_obstruction(inst, **kwargs)
+    subs = kc.enumerate_subgroups((3,) * inst.total, 3 ** (inst.total // 2))
+    mask = obstruction._self_annihilating_mask(inst, subs).tolist()
+    witnesses, failed = _first_witness_oracle(inst, keep=mask)
+    assert failed is None and res.witnesses == witnesses
+    assert mask.index(True) > 0
 
 
 @pytest.mark.parametrize("a,b,signs,p,k,count,isotropic", [

@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -137,20 +138,30 @@ def test_enumeration_beyond_brute_force(p, k, n, t, count):
     assert all(s.order == p ** t for s in subs)
 
 
-@pytest.mark.parametrize("q,n,order", [(9, 3, 27), (9, 3, 81), (3, 4, 9)])
+@pytest.mark.parametrize(
+    "q,n,order", [(9, 3, 27), (9, 3, 81), (3, 4, 9), (5, 4, 25)])
 def test_element_tensor_matches_subgroup_elements(q, n, order):
+    # the sweep reads the member codes one grid column at a time; side by
+    # side the columns are the element tensor [subgroup, member].
     # (Z_9)^3 mixes row-order patterns: (9, 3) and (3, 3, 3) at order 27;
     # at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a row count
-    subs, codes = obstruction._subgroups_with_elements(q, n, order)
+    subs = obstruction._candidates(q, n, order)[0]
     assert [s.gens for s in subs] == [
         s.gens for s in kc.enumerate_subgroups((q,) * n, order)
     ]
-    assert codes.shape == (len(subs), order)
     if q == 9:
         assert len({s.row_orders() for s in subs}) > 1
-    for s, rows in zip(subs, obstruction._vectors(q, n)[codes].tolist()):
-        assert [tuple(r) for r in rows] == s.elements()
-    # the batch arrays the tensor is built from place every form once,
+    place = [q ** (n - 1 - i) for i in range(n)]
+    columns = [obstruction._grid_column(q, n, order, j) for j in range(order)]
+    assert all(c.dtype.kind == "u" and c.shape == (len(subs),) for c in columns)
+    # the smallest unsigned dtype that holds every code
+    assert q ** n - 1 <= np.iinfo(columns[0].dtype).max < (q ** n - 1) * 256
+    for i, s in enumerate(subs):
+        codes = [sum(x * w for x, w in zip(e, place)) for e in s.elements()]
+        assert [int(c[i]) for c in columns] == codes
+    # a column is built once per family
+    assert obstruction._grid_column(q, n, order, 1) is columns[1]
+    # the batch arrays the columns are built from place every form once,
     # at the sorted index of its Subgroup
     placed = []
     for positions, forms in subs.batches:
