@@ -235,6 +235,10 @@ def test_criterion_08_end_to_end_demo_and_reverification():
     assert hashlib.sha256(_canonical_json(data).encode()).hexdigest() == (
         "348e1fdb6a0dfe124141da474e2d4a337bfa54fe667e99b26f142fcb531468a8"
     )
+    # and so are the indent-2 bytes the CLI writes
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "32c319f0053b76d2044f3680f312c9d6d4e0d6c21dcfa5944969085cbf0e0011"
+    )
     verified, problems = kc.verify_certificate(data)
     ok = verified and elapsed < 60.0
     _report(8, "demo --a 1 --b 1 certifies and re-verifies", ok, t0,
