@@ -280,6 +280,8 @@ def _value_from_json(v):
 def _replay_witnesses(data, pattern, profile, family, problems):
     """Replay every inline witness through obstruction_sum.
 
+    Each witness is one obstruction_sum call; the summands' values are
+    memoized per combination, which shares them across its witnesses.
     Appends what fails to problems; raises on a document whose combos
     or witnesses do not have the certificate's shape.
     """
@@ -293,10 +295,11 @@ def _replay_witnesses(data, pattern, profile, family, problems):
         except KnotcertError as ex:
             problems.append(f"combo {coeffs} cannot be replayed: {ex}")
             continue
+        terms = {}
         for w in combo.get("witnesses", ()):
             chis = tuple(_component_character(q, c) for c in w["chi"])
             try:
-                val = obstruction_sum(inst, chis)
+                val = obstruction_sum(inst, chis, terms)
             except KnotcertError as ex:
                 problems.append(
                     f"witness {w['chi']} of combo {coeffs} cannot be "

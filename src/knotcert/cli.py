@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     BudgetExceeded,
@@ -105,12 +106,52 @@ def _build_parser():
     return p
 
 
+def _json_indent2(obj, pad="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    The json module encodes with indent in pure Python; this writes the
+    str-keyed dicts, lists, strs, ints, bools and None of a report
+    directly, with one join per all-int list.  pad is the newline and
+    indent that precede the closing bracket of obj.  Anything else goes
+    to json.dumps, re-indented: with ensure_ascii its only newlines are
+    the ones between items.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_indent2(x, inner) for x in obj)
+        return "[" + inner + sep.join(items) + pad + "]"
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(key) + ": " + _json_indent2(value, inner)
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + sep.join(items) + pad + "}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _emit(args, text_lines, json_obj):
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.command in ("certify", "demo") else "text"
     if fmt == "json":
-        out = json.dumps(json_obj, sort_keys=True, indent=2)
+        out = _json_indent2(json_obj)
     else:
         out = "\n".join(text_lines)
     if args.output:

@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import lcm
-from operator import add
 
 import numpy as np
 
@@ -270,21 +269,33 @@ def _component_character(q, c):
     return Character((Fraction(c % q, q),))
 
 
-def obstruction_sum(inst, chi_tuple):
-    """Signed sum of satellite CG values; Fraction or RatInterval."""
+def obstruction_sum(inst, chi_tuple, terms=None):
+    """Signed sum of satellite CG values; Fraction or RatInterval.
+
+    terms, when given, is a dict kept by the caller across calls on the
+    one instance: it memoizes each summand's signed interval by (summand
+    index, character), so a replay of many witnesses of one combination
+    looks up each summand's value once.
+    """
     if len(chi_tuple) != inst.total:
         raise HypothesisViolation(
             f"need {inst.total} characters (one per summand), got {len(chi_tuple)}"
         )
+    if terms is None:
+        terms = {}
     lo = hi = Fraction(0)
-    for chi, knot in zip(chi_tuple[: inst.m], inst.positive_side):
-        iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
+    for alpha, chi in enumerate(chi_tuple):
+        iv = terms.get((alpha, chi))
+        if iv is None:
+            if alpha < inst.m:
+                iv = _cg_interval(inst.profile, inst.pattern, chi,
+                                  inst.positive_side[alpha])
+            else:
+                iv = -_cg_interval(inst.profile, inst.pattern, chi,
+                                   inst.negative_side[alpha - inst.m])
+            terms[alpha, chi] = iv
         lo += iv.lo
         hi += iv.hi
-    for chi, knot in zip(chi_tuple[inst.m:], inst.negative_side):
-        iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
-        lo -= iv.hi
-        hi -= iv.lo
     return RatInterval(lo, hi).unwrap()
 
 
@@ -435,11 +446,14 @@ def _self_annihilating_mask(inst, subs):
 # Its canonical JSON form (sorted keys, no spaces) is the one
 # certificates embed; the digest of a witness family is sha256 over the
 # canonical JSON array of those forms.  Inline witnesses go through
-# witness_json; a digest-only family is assembled from pre-encoded
-# pieces instead (_witness_texts): generator text cached per subgroup,
-# and, since a witness's chi and value are both functions of its base-q
-# code, one head text (chi) and one tail text (value) per distinct code,
-# so no witness needs a dict, a json.dumps or a Fraction of its own.
+# witness_json.  A digest-only family is built as byte strings, whole
+# arrays at a time (_witness_texts): a witness's chi and value are both
+# functions of its base-q code, so each distinct code gets one head
+# (chi, up to the subgroup's opening bracket) and one tail (the closing
+# bracket and the value), and the subgroup text between them joins the
+# texts of its generator rows, looked up by their base-q codes (_gen_codes)
+# in a per-(q, n) table (_row_texts).  No witness needs a dict, a
+# json.dumps or a Fraction of its own.
 
 def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -464,56 +478,79 @@ def _int_list_text(values):
     return "[" + ",".join(map(str, values)) + "]"
 
 
-@lru_cache(maxsize=None)
-def _subgroup_gen_texts(q, n, order):
-    """Canonical JSON text of each subgroup's generator rows.
+# byte-string concatenation: np.char.add is the ufunc np.add from numpy
+# 2.0 on, and naming it np.add spares loading numpy.char (about 0.2 MB
+# of memory); numpy 1.x's np.add has no loop for byte strings
+_concat = np.add if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else np.char.add
 
-    Listed in the enumeration order of _candidates, so every combo (and
-    every recomputation) with the same (q, n, order) shares one list.
+
+@lru_cache(maxsize=8)
+def _row_texts(q, n):
+    """(plain, comma): canonical JSON bytes of every vector of (Z_q)^n.
+
+    Both are byte-string arrays indexed by base-q code: plain[c] is the
+    text of vector c and comma[c] the same after a comma.  comma has
+    one more entry, the empty text at code q^n, which stands for a row
+    a generator matrix does not have.
+    """
+    plain = [_int_list_text(v).encode() for v in _vectors(q, n).tolist()]
+    comma = [b"," + t for t in plain] + [b""]
+    return np.array(plain), np.array(comma)
+
+
+@lru_cache(maxsize=8)
+def _gen_codes(q, n, order):
+    """[S, smax] base-q codes of each candidate's generator rows.
+
+    Candidates are in the enumeration order of _candidates, rows in
+    their gens order; a candidate with fewer than smax rows (k >= 2
+    only) is padded with code q^n.  The dtype is the smallest unsigned
+    one holding q^n.
     """
     subs = _candidates(q, n, order)[0]
-    chi_t = _chi_texts(q, n)
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    texts = np.empty(len(subs), dtype=object)
+    smax = max(forms.shape[1] for _, forms in subs.batches)
+    dtype = np.min_scalar_type(q ** n)
+    codes = np.full((len(subs), smax), q ** n, dtype=dtype)
+    place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
     for positions, forms in subs.batches:
-        # a generator row is a vector of (Z_q)^n: its text is its chi
-        # text, and one format joins a form's rows
-        fmt = "[" + ",".join(["%s"] * forms.shape[1]) + "]"
-        rows = [map(chi_t.__getitem__, c) for c in (forms @ place).T.tolist()]
-        texts[positions] = list(map(fmt.__mod__, zip(*rows)))
-    return tuple(texts.tolist())
+        # summed in the code dtype, with no wide copy of the forms
+        codes[positions, :forms.shape[1]] = np.einsum(
+            "frn,n->fr", forms, place, dtype=dtype, casting="unsafe")
+    return codes
 
 
-@lru_cache(maxsize=None)
-def _chi_texts(q, n):
-    """Canonical JSON text of every vector of (Z_q)^n, by base-q code."""
-    return tuple(map(_int_list_text, _vectors(q, n).tolist()))
+def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
+    """Canonical JSON bytes of each witness, in family order.
 
-
-def _witness_texts(q, n, order, picked, codes, sum_lo, sum_hi, den):
-    """Canonical JSON text of each witness, in family order.
-
-    picked indexes the swept subgroups in enumeration order, codes is
-    the int array of witness base-q codes, and sum_lo/sum_hi are the
+    rows holds the swept subgroups' enumeration indices, codes the int
+    array of their witnesses' base-q codes, and sum_lo/sum_hi are the
     sweep's tables, so code c has the value sum_lo[c]/den to
-    sum_hi[c]/den.  Each text is the head of its code, the text of its
-    subgroup and the tail of its code.  A generator: the pieces are
-    built when the digest starts consuming it.
+    sum_hi[c]/den.  Each text is its code's head, its subgroup's row
+    texts and its code's tail, concatenated as whole arrays of
+    _DIGEST_CHUNK witnesses at a time; heads and tails are built only
+    for the distinct codes.  A generator of one bytes object per
+    witness, each chunk built when the digest reaches it.
     """
-    gen_t = _subgroup_gen_texts(q, n, order)
-    chi_t = _chi_texts(q, n)
-    distinct, which = np.unique(codes, return_inverse=True)
-    heads, tails = [], []
+    plain, comma = _row_texts(q, n)
+    gens = _gen_codes(q, n, order)
+    # sorted distinct codes; np.unique(codes) loads numpy.ma (1.3 MB)
+    ranked = np.sort(codes.astype(gens.dtype))
+    distinct = ranked[np.append(True, ranked[1:] != ranked[:-1])]
+    tails = []
     # keys in sorted order, as _canonical_json(witness_json(...)) writes them
     for c in distinct.tolist():
         value = RatInterval(Fraction(int(sum_lo[c]), den),
                             Fraction(int(sum_hi[c]), den)).unwrap()
-        heads.append(f'{{"chi":{chi_t[c]},"subgroup":')
-        tails.append(f',"value":{_canonical_json(value_json(value))}}}')
-    which = which.tolist()
-    yield from map(add, map(add, map(heads.__getitem__, which),
-                            map(gen_t.__getitem__, picked)),
-                   map(tails.__getitem__, which))
+        tails.append(f'],"value":{_canonical_json(value_json(value))}}}'.encode())
+    heads = _concat(_concat(b'{"chi":', plain[distinct]), b',"subgroup":[')
+    tails = np.array(tails)
+    for lo in range(0, len(rows), _DIGEST_CHUNK):
+        part = np.searchsorted(distinct, codes[lo:lo + _DIGEST_CHUNK])
+        g = gens[rows[lo:lo + _DIGEST_CHUNK]]
+        texts = _concat(heads[part], plain[g[:, 0]])
+        for col in g.T[1:]:
+            texts = _concat(texts, comma[col])
+        yield from _concat(texts, tails[part]).tolist()
 
 
 # witnesses per hashed chunk: about 100 kB of text, small enough to stay
@@ -524,11 +561,12 @@ _DIGEST_CHUNK = 1024
 def witness_list_digest(texts):
     """sha256 hex digest of the canonical JSON array of a witness family.
 
-    texts yields each witness's canonical JSON text (_canonical_json of
-    its witness_json dict, or the same bytes from _witness_texts), one
-    item per witness in family order.  The array is hashed in chunks of
-    _DIGEST_CHUNK witnesses, so a family of any size needs only one
-    chunk's text in memory at a time.
+    texts yields each witness's canonical JSON text, one item per
+    witness in family order: str (_canonical_json of its witness_json
+    dict) or bytes (as _witness_texts builds them), one kind per
+    digest.  The array is hashed in chunks of _DIGEST_CHUNK witnesses,
+    so a family of any size needs only one chunk's text in memory at a
+    time.
     """
     # imported here, not at module top: loading OpenSSL costs every
     # process that never hashes a digest a few MB of memory
@@ -536,10 +574,14 @@ def witness_list_digest(texts):
 
     sha = hashlib.sha256(b"[")
     texts = iter(texts)
-    sep = ""
+    sep = b""
     while chunk := list(islice(texts, _DIGEST_CHUNK)):
-        sha.update((sep + ",".join(chunk)).encode())
-        sep = ","
+        sha.update(sep)
+        if isinstance(chunk[0], str):
+            sha.update(",".join(chunk).encode())
+        else:
+            sha.update(b",".join(chunk))
+        sep = b","
     sha.update(b"]")
     return sha.hexdigest()
 
@@ -634,7 +676,7 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         )
     if witness_cap is not None and len(picked) > witness_cap:
         digest = witness_list_digest(_witness_texts(
-            q, total, target, picked, first, sum_lo, sum_hi, den,
+            q, total, target, rows, first, sum_lo, sum_hi, den,
         ))
         witnesses = ()
     else:

@@ -9,7 +9,9 @@ exhaustion.
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import knotcert as kc
 from knotcert import cli
@@ -231,6 +233,42 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "-2\n"
+
+
+# ---------------------------------------------------------------- json writer
+
+_json_atoms = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    # non-ASCII, quotes, backslashes and control characters
+    | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00", "é€😀"])
+)
+_json_values = st.recursive(
+    _json_atoms,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=24,
+)
+# what the writer hands on to json.dumps: floats, tuples, int keys
+_json_others = st.recursive(
+    _json_atoms | st.floats(allow_nan=False),
+    lambda kids: st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.integers(), kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_values, _json_others))
+@example([])
+@example({})
+@example([[], {}, [[1, 2], [], [3]]])
+@example({"b": [1, -2], "a": [True, None], "c": {}})
+@example([2 ** 70, -(2 ** 64), True])
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_indent2(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------- certify

@@ -128,6 +128,7 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
     try:
         results = [kc.check_slice_obstruction(inst, witness_cap=200)
                    for inst in insts]
+        final_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(r.obstructed and r.subgroup_count == 33880 for r in results)
@@ -135,3 +136,46 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
     assert 0 in memo and len(memo) <= 5, sorted(memo)
     # measured 3.55 MB: the enumeration, its regrouped rows and 5 columns
     assert len(peaks) == 2 and peaks[0] <= 0.6 * tensor_bytes, peaks
+    # the digests keep no per-subgroup text: measured 3.55 MB at the
+    # first digest and 7.6 MB after both while the generator texts of
+    # the family were cached
+    assert final_peak <= peaks[0] + 1_000_000, (peaks, final_peak)
+
+
+def test_family_caches_are_bounded():
+    # _vectors and _candidates hold one entry per (q, n) and per family;
+    # every other cache of the sweep and the digest has a fixed size
+    unbounded = {"_vectors", "_candidates"}
+    caches = [fn for fn in vars(obstruction).values()
+              if hasattr(fn, "cache_parameters")]
+    assert {"_row_texts", "_gen_codes"} <= {fn.__name__ for fn in caches}
+    for fn in caches:
+        if fn.__name__ not in unbounded:
+            assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
+
+
+_NO_NUMPY_MA = """
+import sys
+from knotcert import cli
+assert cli.run(sys.argv[1:]) == 0
+assert "hashlib" in sys.modules, "the job hashed no digest"
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_certify_job_does_not_load_numpy_ma(tmp_path):
+    # the first certify-z3 job of the benchmark's seed 1: its digests
+    # find the distinct witness codes without np.unique, which loads
+    # numpy.ma (about 1.3 MB) under numpy 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    family = ("4*(mirror(torus(2,3))#mirror(torus(2,7)));"
+              "5*(mirror(torus(2,3))#mirror(torus(2,7)))")
+    args = ["certify", "--pattern", "whitehead:-1,-1", "--family", family,
+            "--mode", "exhaustive", "--budget", "6", "--max-group-order", "729",
+            "--per-side-cap", "3", "--output", str(tmp_path / "cert.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA, *args], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

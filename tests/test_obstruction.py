@@ -171,6 +171,21 @@ def test_obstruction_sum_is_odd_under_side_swap(coeffs, split):
     assert kc.obstruction_sum(swapped, chi_swapped) == -kc.obstruction_sum(inst, chi)
 
 
+def test_obstruction_sum_memo_matches_fresh_sums():
+    # one terms dict across every character tuple of a bounded instance
+    # with summands on both sides gives the sums computed without it
+    prof = kc.CGProfile.bounded(Fraction(1, 2))
+    inst = kc.ObstructionInstance(
+        wh11(), prof, (kc.torus(2, 3), kc.unknot()),
+        (kc.mirror(kc.torus(2, 5)), kc.torus(2, 3)), 3, 1
+    )
+    terms = {}
+    for coeffs in np.ndindex(3, 3, 3, 3):
+        chi = tuple(Character((Fraction(c, 3),)) for c in coeffs)
+        assert kc.obstruction_sum(inst, chi, terms) == kc.obstruction_sum(inst, chi)
+    assert len(terms) == 4 * 3
+
+
 def test_instance_validation():
     with pytest.raises(kc.HypothesisViolation):
         kc.ObstructionInstance(wh11(), kc.CGProfile.zero(), (), (), 4, 1)
@@ -472,9 +487,12 @@ def test_witness_list_digest_across_chunk_boundaries():
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         texts = [f'{{"i":{i}}}' for i in range(count)]
         blob = "[" + ",".join(texts) + "]"
-        assert obstruction.witness_list_digest(iter(texts)) == (
-            hashlib.sha256(blob.encode()).hexdigest()
-        )
+        expected = hashlib.sha256(blob.encode()).hexdigest()
+        # str texts, as json.dumps writes them, or bytes, as the digest
+        # builder does
+        assert obstruction.witness_list_digest(iter(texts)) == expected
+        assert obstruction.witness_list_digest(
+            t.encode() for t in texts) == expected
 
 
 def _dict_oracle_digest(witnesses):
@@ -492,7 +510,7 @@ def _digest_case(name):
             wh11(), kc.CGProfile.bounded(Fraction(1, 2)),
             (m2, m3), (kc.torus(2, 5), kc.torus(2, 3)), 3, 1
         )
-        return inst, {}, lambda v: isinstance(v, kc.RatInterval)
+        return inst, {}, lambda w: isinstance(w[2], kc.RatInterval)
     if name == "denominator-4":
         # Z_5 with fractional taubar values: den = 4
         prof = kc.CGProfile.exact(
@@ -502,7 +520,7 @@ def _digest_case(name):
             kc.whitehead_cover(1, -1), prof,
             (kc.unknot(), mt3), (kc.torus(2, 3), kc.torus(2, 5)), 5, 1
         )
-        return inst, {}, lambda v: v.denominator > 1
+        return inst, {}, lambda w: w[2].denominator > 1
     sa = kc.ObstructionInstance(
         wh11(), kc.CGProfile.zero(),
         (kc.torus(2, 3), m2), (mt3, kc.torus(2, 5)), 3, 1
@@ -511,6 +529,16 @@ def _digest_case(name):
         return sa, {"self_annihilating_only": True}, None
     if name == "unfiltered":
         return sa, {}, None
+    if name == "z11":
+        # Z_11: coordinates of one and two digits, so the texts of rows
+        # and characters differ in width; 16,226 subgroups of (Z_11)^4,
+        # more than one digest chunk
+        inst = kc.ObstructionInstance(
+            kc.whitehead_cover(1, 3), kc.CGProfile.zero(),
+            (mt3, mt3), (kc.torus(2, 3), kc.unknot()), 11, 1
+        )
+        return inst, {"max_group_order": 11 ** 4}, (
+            lambda w: max(w[1]) >= 10 and max(map(max, w[0])) >= 10)
     assert name == "z9"
     inst = kc.ObstructionInstance(
         kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
@@ -521,7 +549,7 @@ def _digest_case(name):
 
 @pytest.mark.parametrize("name", [
     "bounded-intervals", "denominator-4", "self-annihilating",
-    "unfiltered", "z9",
+    "unfiltered", "z9", "z11",
 ])
 def test_capped_digest_matches_dict_oracle(name):
     # the digest-only family is assembled from cached text pieces; an
@@ -533,7 +561,9 @@ def test_capped_digest_matches_dict_oracle(name):
     assert capped.witnesses == () and capped.subgroup_count == full.subgroup_count
     assert capped.witness_digest == _dict_oracle_digest(full.witnesses)
     if prop is not None:
-        assert any(prop(v) for _, _, v in full.witnesses)
+        assert any(map(prop, full.witnesses))
+    if name == "z11":
+        assert full.subgroup_count == 16226 > obstruction._DIGEST_CHUNK
     if kwargs.get("self_annihilating_only"):
         # the swept subset is a proper, non-initial part of the family
         everything = kc.check_slice_obstruction(inst)
