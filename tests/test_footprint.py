@@ -4,7 +4,9 @@ A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
 a process that never hashes a witness digest must not load OpenSSL, one
 whose double-precision signature pass certifies every sign must not load
-mpmath, and the sweep must code only the candidate members it reads.
+mpmath, a certify job must not load numpy.ma, the sweep must code only
+the candidate members it reads, and the digest must keep no text per
+candidate.
 """
 
 import os
