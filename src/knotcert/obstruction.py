@@ -535,7 +535,9 @@ def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
     gens = _gen_codes(q, n, order)
     # sorted distinct codes; np.unique(codes) loads numpy.ma (1.3 MB)
     ranked = np.sort(codes.astype(gens.dtype))
-    distinct = ranked[np.append(True, ranked[1:] != ranked[:-1])]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    distinct = ranked[first]
     tails = []
     # keys in sorted order, as _canonical_json(witness_json(...)) writes them
     for c in distinct.tolist():

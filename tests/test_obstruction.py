@@ -571,6 +571,19 @@ def test_capped_digest_matches_dict_oracle(name):
         assert full.witnesses[0][0] != everything.witnesses[0][0]
 
 
+def test_digest_of_an_empty_swept_family():
+    # no subgroup of order 3 of (Z_3)^2 is isotropic with both summands
+    # positive, so the filtered sweep is empty; a negative cap still
+    # asks for the digest, of the empty array
+    inst = kc.ObstructionInstance(
+        wh11(), kc.CGProfile.zero(), (kc.torus(2, 3), kc.torus(2, 5)), (), 3, 1
+    )
+    res = kc.check_slice_obstruction(inst, self_annihilating_only=True,
+                                     witness_cap=-1)
+    assert res.obstructed and res.subgroup_count == 0
+    assert res.witness_digest == hashlib.sha256(b"[]").hexdigest()
+
+
 def test_scaling_widens_witness_values():
     # replacing a companion by a higher multiple scales its contribution
     values = {}
