@@ -488,8 +488,8 @@ def test_witness_list_digest_across_chunk_boundaries():
         texts = [f'{{"i":{i}}}' for i in range(count)]
         blob = "[" + ",".join(texts) + "]"
         expected = hashlib.sha256(blob.encode()).hexdigest()
-        # str texts, as json.dumps writes them, or bytes, as the digest
-        # builder does
+        # str texts, as json.dumps writes them, or bytes, as
+        # _witness_texts yields them
         assert obstruction.witness_list_digest(iter(texts)) == expected
         assert obstruction.witness_list_digest(
             t.encode() for t in texts) == expected
