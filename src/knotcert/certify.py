@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import __version__
 from .errors import (
@@ -150,15 +149,31 @@ class IndependenceCertificate:
         return _canonical_json(self.to_json_dict())
 
 
+def _of_weight(count, weight):
+    """All c in Z^count with sum |c_i| = weight, in increasing order."""
+    if count == 1:
+        yield from ((-weight,), (weight,)) if weight else ((0,),)
+        return
+    for x in range(-weight, weight + 1):
+        for rest in _of_weight(count - 1, weight - abs(x)):
+            yield (x,) + rest
+
+
 def _signed_combinations(count, budget):
-    """All c in Z^count with 1 <= sum |c_i| <= budget, sorted."""
-    out = [
-        c
-        for c in product(range(-budget, budget + 1), repeat=count)
-        if 1 <= sum(abs(x) for x in c) <= budget
-    ]
-    out.sort(key=lambda c: (sum(abs(x) for x in c), c))
-    return out
+    """All c in Z^count with 1 <= sum |c_i| <= budget, sorted.
+
+    The order is by (sum |c_i|, c); each weight's combinations are
+    generated directly, so none outside the budget is ever built.
+    """
+    if count < 1:
+        return []
+    return [c for weight in range(1, budget + 1)
+            for c in _of_weight(count, weight)]
+
+
+def _side_sizes(coeffs):
+    """(m, n): the summand counts on the positive and negative sides."""
+    return (sum(c for c in coeffs if c > 0), -sum(c for c in coeffs if c < 0))
 
 
 def _combo_instance(pattern, profile, selected, coeffs, p, k):
@@ -229,10 +244,9 @@ def certify_independence(pattern, profile, family, budget=6, mode="ordering",
         selected = [family[i] for i in selection.indices]
         records = []
         for coeffs in _signed_combinations(len(selected), budget):
-            inst = _combo_instance(pattern, profile, selected, coeffs, p, k)
-            if per_side_cap is not None and (
-                    inst.m > per_side_cap or inst.n_neg > per_side_cap):
+            if per_side_cap is not None and max(_side_sizes(coeffs)) > per_side_cap:
                 continue
+            inst = _combo_instance(pattern, profile, selected, coeffs, p, k)
             result = check_slice_obstruction(
                 inst, max_group_order=max_group_order,
                 self_annihilating_only=self_annihilating_only,
@@ -277,13 +291,23 @@ def _value_from_json(v):
     return Fraction(v)
 
 
+def _value_key(v):
+    """Hashable stand-in for a recorded value: what _value_from_json reads."""
+    return (v["lo"], v["hi"]) if isinstance(v, dict) else v
+
+
 def _replay_witnesses(data, pattern, profile, family, problems):
     """Replay every inline witness through obstruction_sum.
 
-    Each witness is one obstruction_sum call; the summands' values are
-    memoized per combination, which shares them across its witnesses.
-    Appends what fails to problems; raises on a document whose combos
-    or witnesses do not have the certificate's shape.
+    Each witness is one obstruction_sum call and one Subgroup.contains
+    check.  Witnesses of a combination repeat their (chi, recorded
+    value) pairs, so each distinct pair is parsed and judged once, and
+    every witness carrying it gets that pair's verdict; the pair's key
+    includes the types of chi's entries, so a 1.0 is never taken for a
+    1.  The one terms dict per combination memoizes the summands and
+    the whole sums, so a repeated chi's obstruction_sum call is a
+    lookup.  Appends what fails to problems; raises on a document whose
+    combos or witnesses do not have the certificate's shape.
     """
     p, k = data["prime"], data["exponent"]
     q = p ** k
@@ -296,8 +320,16 @@ def _replay_witnesses(data, pattern, profile, family, problems):
             problems.append(f"combo {coeffs} cannot be replayed: {ex}")
             continue
         terms = {}
+        # (chi, chi's entry types, value key) -> (characters, problems)
+        judged = {}
         for w in combo.get("witnesses", ()):
-            chis = tuple(_component_character(q, c) for c in w["chi"])
+            vec = tuple(w["chi"])
+            key = (vec, tuple(map(type, vec)), _value_key(w["value"]))
+            seen = judged.get(key)
+            if seen is None:
+                chis = tuple(_component_character(q, c) for c in vec)
+            else:
+                chis = seen[0]
             try:
                 val = obstruction_sum(inst, chis, terms)
             except KnotcertError as ex:
@@ -306,24 +338,31 @@ def _replay_witnesses(data, pattern, profile, family, problems):
                     f"replayed: {ex}"
                 )
                 continue
-            recorded = _value_from_json(w["value"])
-            if val != recorded:
-                problems.append(
-                    f"witness {w['chi']} of combo {coeffs} recomputes to "
-                    f"{val}, certificate says {recorded}"
-                )
-            # adding to a point re-wraps the unwrapped sum as an interval
-            if not (RatInterval.point(0) + val).excludes_zero:
-                problems.append(
-                    f"witness {w['chi']} of combo {coeffs} does not "
-                    "exclude zero"
-                )
-            vec = tuple(w["chi"])
+            if seen is None:
+                seen = judged[key] = (chis, _value_problems(
+                    w["chi"], coeffs, val, _value_from_json(w["value"])))
+            problems.extend(seen[1])
             sgens = tuple(tuple(r) for r in w["subgroup"])
             if sgens and not Subgroup(q, len(vec), sgens).contains(vec):
                 problems.append(
                     f"witness {w['chi']} is not in its subgroup {sgens}"
                 )
+
+
+def _value_problems(chi, coeffs, val, recorded):
+    """What is wrong with a witness whose sum is val and records recorded."""
+    out = []
+    if val != recorded:
+        out.append(
+            f"witness {chi} of combo {coeffs} recomputes to "
+            f"{val}, certificate says {recorded}"
+        )
+    # adding to a point re-wraps the unwrapped sum as an interval
+    if not (RatInterval.point(0) + val).excludes_zero:
+        out.append(
+            f"witness {chi} of combo {coeffs} does not exclude zero"
+        )
+    return out
 
 
 def verify_certificate(data):

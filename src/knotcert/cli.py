@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 parse/input errors, 2 hypothesis violations
-(including inconclusive certifications), 3 budget or precision
-exhaustion.
+(including inconclusive certifications), 3 budget, precision or
+memory exhaustion.
 """
 
 from __future__ import annotations
@@ -367,6 +367,11 @@ def run(argv=None):
         return 1
     except (BudgetExceeded, PrecisionExhausted) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 3
+    except MemoryError as ex:
+        # numpy's _ArrayMemoryError included: memory is a budget too
+        detail = f": {ex}" if str(ex) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except (HypothesisViolation, UnsupportedKnotError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -101,6 +101,12 @@ class Character:
     def __post_init__(self):
         vals = tuple(Fraction(v) % 1 for v in self.values)
         object.__setattr__(self, "values", vals)
+        # the hash the dataclass would compute, once: characters key the
+        # obstruction caches and memos, and hashing Fractions is not free
+        object.__setattr__(self, "_hash", hash((vals,)))
+
+    def __hash__(self):
+        return self._hash
 
     def evaluate(self, coords):
         assert len(coords) == len(self.values)

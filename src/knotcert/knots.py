@@ -54,10 +54,16 @@ class SeifertMatrix:
             )
 
     @classmethod
-    def _derived(cls, rows):
-        """Matrix of int-tuple rows whose V - V^T is known unimodular."""
+    def _derived(cls, rows, blocks=None):
+        """Matrix of int-tuple rows whose V - V^T is known unimodular.
+
+        blocks, when given, are its diagonal blocks, already known.
+        """
         v = object.__new__(cls)
         object.__setattr__(v, "rows", rows)
+        if blocks is not None:
+            # fills the cached_property, so the support is never scanned
+            v.__dict__["_blocks"] = blocks
         return v
 
     @property
@@ -71,11 +77,15 @@ class SeifertMatrix:
     def mirror(self):
         """Seifert matrix -V^T of the mirror image.
 
-        -V^T - (-V^T)^T = V - V^T, so it needs no check of its own.
+        -V^T - (-V^T)^T = V - V^T, so it needs no check of its own.  Its
+        support is the transpose of V's, so its diagonal blocks are the
+        mirrors of V's, in the same order: they are passed on when V's
+        are already known, and left to be found on first use otherwise.
         """
-        return SeifertMatrix._derived(
-            tuple(tuple(-x for x in col) for col in zip(*self.rows))
-        )
+        blocks = self.__dict__.get("_blocks")
+        if blocks is not None:
+            blocks = tuple(_mirror_rows(b) for b in blocks)
+        return SeifertMatrix._derived(_mirror_rows(self.rows), blocks)
 
     def symmetrized(self):
         """V + V^T as plain nested tuples (branched-cover presentation)."""
@@ -90,7 +100,10 @@ class SeifertMatrix:
         """Orthogonal sum of the given matrices, built in one pass.
 
         Its V - V^T is block diagonal with determinant the product of
-        the parts' determinants, 1, so it needs no check of its own.
+        the parts' determinants, 1, so it needs no check of its own.  No
+        entry links two parts, so its diagonal blocks are the parts'
+        blocks in order, each found on its part (once per distinct part)
+        instead of by scanning the assembled matrix.
         """
         n = sum(part.size for part in parts)
         rows = []
@@ -99,7 +112,8 @@ class SeifertMatrix:
             left, right = (0,) * offset, (0,) * (n - offset - part.size)
             rows.extend(left + row + right for row in part.rows)
             offset += part.size
-        return cls._derived(tuple(rows))
+        blocks = tuple(b for part in parts for b in part.diagonal_blocks())
+        return cls._derived(tuple(rows), blocks)
 
     def diagonal_blocks(self):
         """Partition of indices into connected components of the support.
@@ -136,6 +150,11 @@ class SeifertMatrix:
             )
             blocks.append(sub)
         return tuple(blocks)
+
+
+def _mirror_rows(rows):
+    """-V^T of a square matrix given as int-tuple rows."""
+    return tuple(tuple(-x for x in col) for col in zip(*rows))
 
 
 EMPTY_SEIFERT = SeifertMatrix(())

@@ -273,16 +273,22 @@ def obstruction_sum(inst, chi_tuple, terms=None):
     """Signed sum of satellite CG values; Fraction or RatInterval.
 
     terms, when given, is a dict kept by the caller across calls on the
-    one instance: it memoizes each summand's signed interval by (summand
-    index, character), so a replay of many witnesses of one combination
-    looks up each summand's value once.
+    one instance.  It memoizes each summand's signed interval by
+    (summand index, character) and each whole sum by its tuple of
+    characters, so a replay of many witnesses of one combination looks
+    up each summand's value once and adds each distinct tuple's
+    summands once; a repeated tuple costs one dict lookup.
     """
+    chi_tuple = tuple(chi_tuple)
     if len(chi_tuple) != inst.total:
         raise HypothesisViolation(
             f"need {inst.total} characters (one per summand), got {len(chi_tuple)}"
         )
     if terms is None:
         terms = {}
+    value = terms.get(chi_tuple)
+    if value is not None:
+        return value
     lo = hi = Fraction(0)
     for alpha, chi in enumerate(chi_tuple):
         iv = terms.get((alpha, chi))
@@ -296,7 +302,9 @@ def obstruction_sum(inst, chi_tuple, terms=None):
             terms[alpha, chi] = iv
         lo += iv.lo
         hi += iv.hi
-    return RatInterval(lo, hi).unwrap()
+    # a summand key is (int, Character), never a tuple of characters
+    value = terms[chi_tuple] = RatInterval(lo, hi).unwrap()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -390,30 +398,42 @@ def _first_witnesses(q, n, order, rows, good):
     return first, None
 
 
+# one entry per (profile, cover, q, knot): a certify run asks for the
+# few distinct knots of its family once per combination summand
+@lru_cache(maxsize=256)
+def _value_row(profile, cover, q, knot):
+    """(lo, hi, den): knot's CG value intervals at c/q, c < q.
+
+    lo and hi are int tuples over the row's least common denominator
+    den: the value at c/q is the interval lo[c]/den to hi[c]/den.
+    """
+    ivs = [_cg_interval(profile, cover, _component_character(q, c), knot)
+           for c in range(q)]
+    den = lcm(*[f.denominator for iv in ivs for f in (iv.lo, iv.hi)])
+    lo = tuple(iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs)
+    hi = tuple(iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs)
+    return lo, hi, den
+
+
 def _value_tables(inst):
     """Per-summand CG value intervals at every character coefficient.
 
-    Returns (lo, hi) lists of lists of Fractions, shape [total][q]:
-    entry [alpha][c] is the signed contribution of summand alpha when
-    its character component is c/p^k.
+    Returns (lo, hi, den): int64 arrays of shape [total, q] over one
+    denominator den, so summand alpha contributes lo[alpha, c]/den to
+    hi[alpha, c]/den when its character component is c/p^k.  Each
+    summand's row pair is one _value_row lookup; a negative summand's
+    pair is negated with lo and hi swapped, since -[a, b] = [-b, -a].
     """
     q = inst.p ** inst.k
-    lo, hi = [], []
-    signed = [(knot, 1) for knot in inst.positive_side] + [
-        (knot, -1) for knot in inst.negative_side
-    ]
-    for knot, sign in signed:
-        row_lo, row_hi = [], []
-        for c in range(q):
-            chi = _component_character(q, c)
-            iv = _cg_interval(inst.profile, inst.pattern, chi, knot)
-            if sign < 0:
-                iv = -iv
-            row_lo.append(iv.lo)
-            row_hi.append(iv.hi)
-        lo.append(row_lo)
-        hi.append(row_hi)
-    return lo, hi
+    rows = [_value_row(inst.profile, inst.pattern, q, knot)
+            for knot in inst.positive_side + inst.negative_side]
+    den = lcm(*[d for _, _, d in rows])
+    scale = np.array([[den // d] for _, _, d in rows], dtype=np.int64)
+    lo = np.array([r[0] for r in rows], dtype=np.int64) * scale
+    hi = np.array([r[1] for r in rows], dtype=np.int64) * scale
+    neg = slice(inst.m, None)
+    lo[neg], hi[neg] = -hi[neg], -lo[neg]
+    return lo, hi, den
 
 
 def _self_annihilating_mask(inst, subs):
@@ -519,6 +539,24 @@ def _gen_codes(q, n, order):
     return codes
 
 
+@lru_cache(maxsize=1024)
+def _sum_value(lo, hi, den):
+    """A tabled sum lo/den to hi/den: a Fraction, or a RatInterval.
+
+    Cached: the combinations of a run share a few values among all
+    their distinct witness codes.
+    """
+    return RatInterval(Fraction(lo, den), Fraction(hi, den)).unwrap()
+
+
+@lru_cache(maxsize=1024)
+def _value_tail(lo, hi, den):
+    """Canonical JSON bytes that end a witness of value _sum_value(...)."""
+    value = _canonical_json(value_json(_sum_value(lo, hi, den)))
+    # keys in sorted order, as _canonical_json(witness_json(...)) writes them
+    return f'],"value":{value}}}'.encode()
+
+
 def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
     """Canonical JSON bytes of each witness, in family order.
 
@@ -538,14 +576,9 @@ def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
     first = np.ones(len(ranked), dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
     distinct = ranked[first]
-    tails = []
-    # keys in sorted order, as _canonical_json(witness_json(...)) writes them
-    for c in distinct.tolist():
-        value = RatInterval(Fraction(int(sum_lo[c]), den),
-                            Fraction(int(sum_hi[c]), den)).unwrap()
-        tails.append(f'],"value":{_canonical_json(value_json(value))}}}'.encode())
     heads = _concat(_concat(b'{"chi":', plain[distinct]), b',"subgroup":[')
-    tails = np.array(tails)
+    tails = np.array([_value_tail(a, b, den) for a, b in
+                      zip(sum_lo[distinct].tolist(), sum_hi[distinct].tolist())])
     for lo in range(0, len(rows), _DIGEST_CHUNK):
         part = np.searchsorted(distinct, codes[lo:lo + _DIGEST_CHUNK])
         g = gens[rows[lo:lo + _DIGEST_CHUNK]]
@@ -656,10 +689,7 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     if self_annihilating_only:
         rows = np.flatnonzero(_self_annihilating_mask(inst, subs))
         picked = rows.tolist()
-    lo_f, hi_f = _value_tables(inst)
-    den = lcm(*[f.denominator for row in lo_f + hi_f for f in row], 1)
-    lo_t = np.array([[int(f * den) for f in row] for row in lo_f], dtype=np.int64)
-    hi_t = np.array([[int(f * den) for f in row] for row in hi_f], dtype=np.int64)
+    lo_t, hi_t, den = _value_tables(inst)
     # the obstruction sum of every character tuple, by base-q code, so
     # each subgroup member's sum is one lookup: at most q^total entries,
     # which max_group_order caps
@@ -682,12 +712,16 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         ))
         witnesses = ()
     else:
-        values = [RatInterval(Fraction(a, den), Fraction(b, den)).unwrap()
-                  for a, b in zip(sum_lo[first].tolist(), sum_hi[first].tolist())]
+        # chi tuple and value of each distinct witness code, made once
+        codes = first.tolist()
+        made = {
+            c: (tuple(vecs[c].tolist()),
+                _sum_value(int(sum_lo[c]), int(sum_hi[c]), den))
+            for c in set(codes)
+        }
         digest = None
         witnesses = tuple(
-            (subs[i].gens, tuple(c), v)
-            for i, c, v in zip(picked, vecs[first].tolist(), values)
+            (subs[i].gens, *made[c]) for i, c in zip(picked, codes)
         )
     return SliceObstructionResult(
         True, "witnessed", inst.p, inst.k, total, len(picked),

@@ -3,7 +3,9 @@
 import copy
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -52,6 +54,37 @@ def test_exhaustive_mode_sweeps_signed_combinations():
         assert combo.reason in ("parity", "witnessed")
         if combo.reason == "witnessed":
             assert combo.witnesses
+
+
+def _filtered_combinations(count, budget):
+    # the construction _signed_combinations replaced: filter the whole
+    # product, then sort
+    out = [c for c in product(range(-budget, budget + 1), repeat=count)
+           if 1 <= sum(map(abs, c)) <= budget]
+    out.sort(key=lambda c: (sum(map(abs, c)), c))
+    return out
+
+
+@pytest.mark.parametrize("count", range(5))
+def test_signed_combinations_match_the_filtered_product(count):
+    for budget in range(7):
+        assert (certify._signed_combinations(count, budget)
+                == _filtered_combinations(count, budget)), budget
+
+
+def test_per_side_cap_drops_combos_before_building_them(monkeypatch):
+    built = []
+    real = certify._combo_instance
+
+    def counting(*args):
+        built.append(tuple(args[3]))
+        return real(*args)
+
+    monkeypatch.setattr(certify, "_combo_instance", counting)
+    cert = small_cert(budget=4, per_side_cap=1)
+    assert built == [tuple(c.coefficients) for c in cert.combos]
+    assert len(built) < len(certify._signed_combinations(2, 4))
+    assert all(max(certify._side_sizes(c)) <= 1 for c in built)
 
 
 def test_boundary_growth_still_certifies():
@@ -279,6 +312,88 @@ def test_malformed_replay_is_reported_not_raised(mutate):
     ok, problems = tampered(mutate)
     assert not ok
     assert problems
+
+
+# ---------------------------------------------------------------------------
+# the replay memo: witnesses that share a chi tuple are judged together
+
+def shared_chi_data(profile=None):
+    # budget 4: the (Z_3)^4 combos have 130 inline witnesses, a dozen of
+    # them per chi tuple
+    cert = kc.certify_independence(
+        kc.whitehead_cover(1, 1), profile or kc.CGProfile.zero(), family(1, 5),
+        budget=4, mode="exhaustive",
+    )
+    return json.loads(cert.to_json())
+
+
+def sharing_witnesses(data):
+    """The first combo's witnesses whose chi tuple is its most common."""
+    for combo in data["combos"]:
+        counts = Counter(tuple(w["chi"]) for w in combo.get("witnesses", ()))
+        if counts and counts.most_common(1)[0][1] >= 3:
+            chi = counts.most_common(1)[0][0]
+            return [w for w in combo["witnesses"] if tuple(w["chi"]) == chi]
+    raise AssertionError("expected witnesses that share a chi tuple")
+
+
+def replay_problems(data):
+    problems = []
+    certify._replay_witnesses(
+        data, certify._pattern_from_dict(data["pattern"]),
+        kc.CGProfile.from_description(data["profile"]),
+        tuple(kc.parse_knot(s) for s in data["family"]), problems,
+    )
+    return problems
+
+
+@pytest.mark.parametrize("position", [0, 1, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+def test_replay_reports_exactly_the_tampered_value(position, mode):
+    profile = kc.CGProfile.bounded(Fraction(1, 2)) if mode == "bounded" else None
+    data = shared_chi_data(profile)
+    assert replay_problems(data) == []
+    witness = sharing_witnesses(data)[position]
+    witness["value"] = {"lo": "1", "hi": "2"} if mode == "bounded" else "2"
+    problems = replay_problems(data)
+    assert len(problems) == 1, problems
+    assert f"witness {witness['chi']}" in problems[0]
+    assert "recomputes to" in problems[0]
+
+
+@pytest.mark.parametrize("position", [0, 1, -1], ids=["first", "middle", "last"])
+def test_replay_reports_exactly_the_tampered_subgroup(position):
+    data = shared_chi_data()
+    witness = sharing_witnesses(data)[position]
+    n = len(witness["chi"])
+    # the right order, but spanned by unit vectors the chi avoids
+    witness["subgroup"] = [[int(i == j) for j in range(n)]
+                           for i in range(n) if not witness["chi"][i]][:n // 2]
+    problems = replay_problems(data)
+    assert len(problems) == 1, problems
+    assert "is not in its subgroup" in problems[0]
+
+
+@pytest.mark.parametrize("value", ["x", {"lo": "1"}, ["1"]],
+                         ids=["text", "no-hi", "list"])
+def test_malformed_value_behind_a_memo_hit_is_a_problem(value):
+    data = shared_chi_data()
+    sharing_witnesses(data)[1]["value"] = value
+    ok, problems = kc.verify_certificate(data)
+    assert not ok
+    assert any("cannot replay the witnesses" in p for p in problems), problems
+
+
+def test_replay_memo_does_not_take_a_float_chi_for_an_int():
+    # [0.0, ..., 1.0] equals [0, ..., 1] as JSON data, so the recomputation
+    # sees no difference; the replay parses it, and a float is no
+    # character coefficient
+    data = shared_chi_data()
+    witness = sharing_witnesses(data)[1]
+    witness["chi"] = [float(c) for c in witness["chi"]]
+    ok, problems = kc.verify_certificate(data)
+    assert not ok
+    assert problems == [problems[0]] and "cannot replay the witnesses" in problems[0]
 
 
 def test_verify_rejects_malformed_documents():

@@ -3,8 +3,8 @@
 Everything runs in-process through ``cli.run(argv)``, which returns the
 exit code that ``main()`` would hand to ``sys.exit``.  The documented
 mapping is: 0 success, 1 parse/input errors, 2 hypothesis violations
-(including inconclusive certifications), 3 budget or precision
-exhaustion.
+(including inconclusive certifications), 3 budget, precision or
+memory exhaustion.
 """
 
 import json
@@ -190,6 +190,20 @@ def test_subgroups_negative_limit_exit_1(capsys):
     code, out, _ = run_cli(capsys, ["subgroups", "3", "2", "3", "--limit", "0"])
     assert code == 0
     assert out.splitlines() == ["4 subgroups of (Z_3)^2 of order 3", "  ... 4 more"]
+
+
+def test_subgroups_out_of_memory_exit_3(capsys, monkeypatch):
+    # an enumeration past the process's memory (numpy raises its
+    # MemoryError subclass) ends in a mapped error, not a traceback;
+    # raised here without allocating anything
+    def exhausted(group, order):
+        raise MemoryError("Unable to allocate 1.28 GiB for an array")
+
+    monkeypatch.setattr(cli, "enumerate_subgroups", exhausted)
+    code, out, err = run_cli(capsys, ["subgroups", "3", "8", "81", "--limit", "1"])
+    assert code == 3
+    assert err.startswith("error: out of memory") and "1.28 GiB" in err
+    assert out == ""
 
 
 # ------------------------------------------------------- input errors

@@ -29,6 +29,7 @@ CACHE_BOUNDS = {
     covers.cover_presentation: 64,
     signatures._block_signature: 256,
     obstruction._cg_interval: 4096,
+    obstruction._value_row: 256,
 }
 
 
@@ -57,6 +58,9 @@ def test_per_knot_caches_stay_bounded():
     for c in range(1, 4200):
         kc.satellite_cg_value(zero, cover, kc.Character((Fraction(c, 5199),)),
                               kc.unknot())
+    # more value rows than their cache holds: the unknot under many bounds
+    for bound in range(300):
+        obstruction._value_row(kc.CGProfile.bounded(bound), wh11, 3, kc.unknot())
     for fn, bound in CACHE_BOUNDS.items():
         info = fn.cache_info()
         assert info.misses >= 100, (fn.__name__, info)

@@ -1,11 +1,13 @@
 """Knot expressions, Seifert matrices, Alexander polynomials."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import knotcert as kc
-from strategies import knot_exprs
+from strategies import dense_conjugate, knot_exprs
 from knotcert.polynomials import det_int
 from knotcert.snf import is_unimodular
 from oracles import sympy_alexander_coeffs
@@ -104,6 +106,38 @@ def test_derived_matrices_equal_the_checked_construction(e):
         assert is_unimodular(
             [[v.rows[i][j] - v.rows[j][i] for j in range(n)] for i in range(n)]
         )
+
+
+def _scanned_blocks(v):
+    # a fresh matrix of the same rows, whose blocks the union-find finds
+    return kc.SeifertMatrix._derived(v.rows).diagonal_blocks()
+
+
+@given(knot_exprs())
+def test_passed_on_blocks_equal_the_scanned_blocks(e):
+    # mirror and block_diagonal hand their result the blocks of their
+    # parts; they must be the blocks a scan of the assembled matrix finds
+    for v in (kc.evaluate(e), kc.evaluate(kc.mirror(e)),
+              kc.evaluate(kc.connected_sum(e, kc.mirror(e))),
+              kc.evaluate(kc.multiple(3, e)), kc.evaluate(kc.multiple(-2, e))):
+        assert v.diagonal_blocks() == _scanned_blocks(v)
+
+
+@pytest.mark.parametrize("known", [True, False], ids=["known", "unknown"])
+def test_mirror_blocks_whether_or_not_computed(known):
+    # a torus block, a mirrored one, a dense one from congruences, and
+    # their orthogonal sum; none of the blocks is symmetric
+    parts = [kc.evaluate(kc.torus(2, 5)), kc.evaluate(kc.mirror(kc.torus(2, 3))),
+             kc.SeifertMatrix(dense_conjugate(kc.evaluate(kc.torus(2, 7)).rows,
+                                              random.Random(3)))]
+    for v in parts + [kc.SeifertMatrix(kc.SeifertMatrix.block_diagonal(parts).rows)]:
+        v = kc.SeifertMatrix(v.rows)  # checked constructor: no blocks yet
+        if known:
+            v.diagonal_blocks()
+        m = v.mirror()
+        assert ("_blocks" in m.__dict__) == known
+        assert m.diagonal_blocks() == _scanned_blocks(m)
+        assert m.mirror() == v and m.mirror().diagonal_blocks() == v.diagonal_blocks()
 
 
 def test_raw_still_checks_inside_derived_expressions():

@@ -183,7 +183,35 @@ def test_obstruction_sum_memo_matches_fresh_sums():
     for coeffs in np.ndindex(3, 3, 3, 3):
         chi = tuple(Character((Fraction(c, 3),)) for c in coeffs)
         assert kc.obstruction_sum(inst, chi, terms) == kc.obstruction_sum(inst, chi)
-    assert len(terms) == 4 * 3
+    # summand entries are (index, character); whole sums are keyed by
+    # their tuple of characters
+    summands = [key for key in terms if isinstance(key[0], int)]
+    sums = [key for key in terms if not isinstance(key[0], int)]
+    assert len(summands) == 4 * 3
+    assert len(sums) == 3 ** 4
+    # a repeated tuple is answered from the memo, the same object
+    chi = tuple(Character((Fraction(c, 3),)) for c in (1, 2, 0, 1))
+    assert kc.obstruction_sum(inst, chi, terms) is terms[chi]
+
+
+def test_value_tables_put_rows_over_one_denominator(monkeypatch):
+    # the rows of real knots share their profile's denominators, so rows
+    # over different ones are forced by hand; a negative summand's row
+    # pair is negated with lo and hi swapped
+    k3, k5 = kc.torus(2, 3), kc.torus(2, 5)
+    rows = {k3: ((1, -2, 3), (1, 2, 5), 2), k5: ((0, 1, -1), (0, 4, 1), 3)}
+    monkeypatch.setattr(obstruction, "_value_row", lambda *key: rows[key[3]])
+    inst = kc.ObstructionInstance(wh11(), kc.CGProfile.zero(), (k3,), (k5, k3), 3, 1)
+    lo, hi, den = obstruction._value_tables(inst)
+    assert den == 6 and lo.shape == hi.shape == (3, 3)
+    for alpha, (knot, sign) in enumerate([(k3, 1), (k5, -1), (k3, -1)]):
+        row_lo, row_hi, d = rows[knot]
+        for c in range(3):
+            want = kc.RatInterval(Fraction(row_lo[c], d), Fraction(row_hi[c], d))
+            if sign < 0:
+                want = -want
+            assert (Fraction(int(lo[alpha, c]), den),
+                    Fraction(int(hi[alpha, c]), den)) == (want.lo, want.hi)
 
 
 def test_instance_validation():
