@@ -189,3 +189,14 @@ def test_characters_sorted_deterministically():
     g = kc.FiniteAbelianGroup((3, 3))
     chars = kc.characters_of_order(g, 3)
     assert chars == sorted(chars, key=lambda c: c.sort_key())
+
+
+def test_character_hash_is_the_dataclass_hash():
+    # the hash is computed once, but must stay hash((values,)), so sets
+    # and dicts of characters keep their order; equal characters built
+    # from unreduced values, or by negation, hash alike
+    g = kc.FiniteAbelianGroup((3, 9))
+    for c in kc.characters_of_order(g, 3):
+        assert hash(c) == hash((c.values,))
+        assert hash(-(-c)) == hash(c) and -(-c) == c
+    assert hash(kc.Character((Fraction(4, 3), -1))) == hash(kc.Character((Fraction(1, 3), 0)))
