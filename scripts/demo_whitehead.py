@@ -14,6 +14,7 @@ Example:
 
 import argparse
 import json
+import sys
 import time
 
 import knotcert as kc
@@ -60,7 +61,7 @@ def certify_family(a, b, count, budget, per_side_cap, mode):
     ok, problems = kc.verify_certificate(json.loads(json.dumps(data)))
     t_ver = time.perf_counter() - t0
     print(f"  re-verified in {t_ver:.2f}s: {'ok' if ok else problems}")
-    return data
+    return data, ok
 
 
 def main():
@@ -78,13 +79,16 @@ def main():
     args = ap.parse_args()
 
     survey(args.grid)
-    data = certify_family(args.a, args.b, args.count, args.budget,
-                          args.per_side_cap, args.mode)
+    data, ok = certify_family(args.a, args.b, args.count, args.budget,
+                              args.per_side_cap, args.mode)
+    if not ok:
+        return 1
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(data, fh, sort_keys=True, indent=2)
         print(f"  certificate written to {args.output}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

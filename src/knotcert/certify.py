@@ -207,6 +207,8 @@ def certify_independence(pattern, profile, family, budget=6, mode="ordering",
         raise HypothesisViolation("family must be nonempty")
     if budget < 1:
         raise HypothesisViolation("budget must be >= 1")
+    if per_side_cap is not None and per_side_cap < 1:
+        raise HypothesisViolation("per-side cap must be >= 1")
     group = pattern.group
     if group.is_trivial or group.order == 1:
         raise HypothesisViolation(

@@ -270,17 +270,10 @@ def det_poly(rows):
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (Sturm chains, cyclotomic-field inverses)
-
-def _qtrim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
+# rational-coefficient helpers (Sturm chains, exact nullity mod Phi_d)
 
 def _qdivmod(a, b):
-    a, b = _qtrim(a), _qtrim(b)
+    a, b = _trim(a), _trim(b)
     assert b, "division by zero polynomial"
     rem = list(a)
     dq = len(rem) - len(b)
@@ -294,7 +287,7 @@ def _qdivmod(a, b):
         if c:
             for j, bj in enumerate(b):
                 rem[k + j] -= c * bj
-    return _qtrim(quo), _qtrim(rem)
+    return _trim(quo), _trim(rem)
 
 
 def _qmul(a, b):
@@ -305,14 +298,14 @@ def _qmul(a, b):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _qtrim(out)
+    return _trim(out)
 
 
 def _qsub(a, b):
     n = max(len(a), len(b))
     a = tuple(a) + (Fraction(0),) * (n - len(a))
     b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _qtrim(tuple(x - y for x, y in zip(a, b)))
+    return _trim(tuple(x - y for x, y in zip(a, b)))
 
 
 def _qeval(cs, x):
@@ -323,7 +316,7 @@ def _qeval(cs, x):
 
 
 def _qderiv(cs):
-    return _qtrim(tuple(i * c for i, c in enumerate(cs) if i))
+    return _trim(tuple(i * c for i, c in enumerate(cs) if i))
 
 
 def _sign_variations(values):
@@ -337,7 +330,7 @@ def sturm_count(p, a, b):
     Both endpoints must be non-roots (asserted).  p is an IntPoly,
     endpoints are Fractions; the chain runs in exact rationals.
     """
-    cs = _qtrim(tuple(Fraction(c) for c in p.coeffs))
+    cs = _trim(tuple(Fraction(c) for c in p.coeffs))
     assert cs, "zero polynomial has no isolated roots"
     assert _qeval(cs, a) != 0 and _qeval(cs, b) != 0
     # square-free part via gcd with the derivative

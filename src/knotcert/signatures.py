@@ -16,7 +16,8 @@ Exactness strategy, per eigenvalue sign:
   most the multiplicity of Phi_d in Delta.  A simple factor, as in
   every torus(2, n) block, therefore gives nullity 1 with no further
   work; only a repeated factor falls back to exact Gaussian
-  elimination over the cyclotomic field Q(zeta_d).
+  elimination over Q(zeta_d) = Q[t]/Phi_d, with every entry a
+  rational polynomial residue mod Phi_d.
 * The nonzero eigenvalue signs come from rigorous Gershgorin discs of
   B = Q* A Q, where Q is a floating approximation of the eigenvector
   matrix and B is evaluated in outward-rounded interval arithmetic.
@@ -54,7 +55,6 @@ from .polynomials import (
     _qdivmod,
     _qmul,
     _qsub,
-    _qtrim,
     compact_circle_form,
     cyclotomic,
     euler_phi,
@@ -348,129 +348,50 @@ def _certify_mp(block, j, d, nullity, prec):
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic-field rank (for singular points)
-
-class _CyclotomicField:
-    """Q(zeta_d) as Q[t]/Phi_d with dense Fraction-vector elements."""
-
-    def __init__(self, d):
-        self.d = d
-        self.phi = cyclotomic(d)
-        self.deg = self.phi.degree
-        # representations of zeta^m for m up to max(d, 2 deg - 1)
-        top = max(d, 2 * self.deg - 1)
-        reps = []
-        cur = [Fraction(0)] * self.deg
-        cur[0] = Fraction(1)
-        for _ in range(top + 1):
-            reps.append(tuple(cur))
-            # multiply by zeta
-            carry = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
-            if carry:
-                for i in range(self.deg):
-                    cur[i] -= carry * self.phi.coeffs[i]
-        self.zeta_pow = reps
-
-    def scalar(self, q):
-        out = [Fraction(0)] * self.deg
-        out[0] = Fraction(q)
-        return tuple(out)
-
-    def from_power(self, m, coeff=1):
-        return tuple(coeff * c for c in self.zeta_pow[m % self.d])
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        deg = self.deg
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        for m in range(deg, 2 * deg - 1):
-            c = conv[m]
-            if c:
-                rep = self.zeta_pow[m]
-                for i in range(deg):
-                    out[i] += c * rep[i]
-        return tuple(out)
-
-    def is_zero(self, a):
-        return all(c == 0 for c in a)
-
-    def inv(self, a):
-        # extended Euclid in Q[t] against Phi_d
-        assert not self.is_zero(a)
-        phi = tuple(Fraction(c) for c in self.phi.coeffs)
-        r0, r1 = phi, _qtrim(a)
-        s0, s1 = (), (Fraction(1),)
-        while True:
-            q, r = _qdivmod(r0, r1)
-            if not r:
-                break
-            s = _qsub(s0, _qmul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        lead = r1[-1]
-        inv_poly = tuple(c / lead for c in s1)
-        out = [Fraction(0)] * self.deg
-        for i, c in enumerate(inv_poly):
-            if i < self.deg:
-                out[i] += c
-            else:  # fold, should not happen since deg(s1) < deg(phi)
-                rep = self.zeta_pow[i]
-                for k in range(self.deg):
-                    out[k] += c * rep[k]
-        res = tuple(out)
-        check = self.mul(res, a)
-        assert check[0] == 1 and all(c == 0 for c in check[1:])
-        return res
-
-
-@lru_cache(maxsize=256)
-def _field(d):
-    return _CyclotomicField(d)
-
+# exact rank over Q[t]/Phi_d (for singular points)
 
 def _exact_nullity(block, j, d):
-    """dim ker A(omega) over Q(zeta_d), via rank of V - conj(omega) V^T."""
-    f = _field(d)
+    """dim ker A(omega): n minus the rank of V - conj(omega) V^T mod Phi_d.
+
+    Q(zeta_d) is Q[t]/Phi_d, so every entry is a Fraction tuple reduced
+    mod Phi_d, conj(omega) is t^(d - j) reduced, and Gaussian elimination
+    inverts each pivot by extended Euclid against the irreducible Phi_d.
+    """
+    phi = tuple(Fraction(c) for c in cyclotomic(d).coeffs)
+
+    def residue(a):
+        return _qdivmod(a, phi)[1]
+
+    def inverse(a):
+        # s1 a = r1 mod Phi_d throughout; r1 ends a nonzero constant
+        r0, r1, s0, s1 = phi, a, (), (Fraction(1),)
+        while len(r1) > 1:
+            q, r = _qdivmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _qsub(s0, _qmul(q, s1))
+        return tuple(c / r1[0] for c in s1)
+
+    conj = residue((Fraction(0),) * ((d - j) % d) + (Fraction(1),))
     n = len(block)
     m = [
         [
-            f.sub(f.scalar(block[r][c]), f.from_power(d - j, block[c][r]))
+            _qsub((Fraction(block[r][c]),), tuple(block[c][r] * x for x in conj))
             for c in range(n)
         ]
         for r in range(n)
     ]
     rank = 0
-    row = 0
     for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if not f.is_zero(m[r][col]):
-                piv = r
-                break
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = f.inv(m[row][col])
-        for r in range(row + 1, n):
-            if not f.is_zero(m[r][col]):
-                factor = f.mul(m[r][col], inv)
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = inverse(m[rank][col])
+        for r in range(rank + 1, n):
+            if m[r][col]:
+                factor = residue(_qmul(m[r][col], inv))
                 for c in range(col, n):
-                    m[r][c] = f.sub(m[r][c], f.mul(factor, m[row][c]))
+                    m[r][c] = _qsub(m[r][c], residue(_qmul(factor, m[rank][c])))
         rank += 1
-        row += 1
-        if row == n:
-            break
     return n - rank
 
 
@@ -481,7 +402,11 @@ _PRECISIONS = (113, 240, 480, 960, 1920, 3840)
 
 
 def _nullity(block, j, d):
-    """dim ker A(omega) at omega = e^{2 pi i j/d}, via Phi_d's multiplicity in Delta."""
+    """dim ker A(omega) at omega = e^{2 pi i j/d}.
+
+    0 or 1 exactly when Phi_d's multiplicity in Delta is; a repeated
+    factor is decided by elimination over Q[t]/Phi_d (_exact_nullity).
+    """
     delta = _alexander_of_block(block)
     deg = delta.degree
     # Phi_d can only divide when phi(d) <= deg Delta, and phi(d) >= sqrt(d/2)

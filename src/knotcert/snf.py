@@ -187,12 +187,6 @@ def _apply_col_pair(a, i, j, m00, m10, m01, m11):
         row[j] = m01 * ci + m11 * cj
 
 
-def invariant_factors(rows):
-    """Nontrivial invariant factors (entries > 1) of coker(A)."""
-    diag, _, _ = smith_normal_form(rows)
-    return tuple(d for d in diag if d > 1), diag
-
-
 def is_unimodular(rows):
     """True when the square integer matrix has determinant +-1."""
     n = len(rows)

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import sympy
 from sympy.matrices.normalforms import invariant_factors as _sympy_inv
+from sympy.polys.matrices import DomainMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +190,19 @@ def self_annihilating_mask(inst, subs):
                 break
         out.append(ok)
     return out
+
+
+# ---------------------------------------------------------------------------
+# nullity oracle: rank over sympy's own cyclotomic field
+
+def sympy_cyclotomic_nullity(rows, j, d):
+    """dim ker of V - conj(w) V^T over Q(w), w = exp(2 pi i j/d), by sympy."""
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / d)
+    field = sympy.QQ.algebraic_field(zeta)
+    conj = field.from_sympy(zeta) ** ((d - j) % d)
+    n = len(rows)
+    m = [
+        [field(rows[r][c]) - field(rows[c][r]) * conj for c in range(n)]
+        for r in range(n)
+    ]
+    return n - DomainMatrix(m, (n, n), field).rank()

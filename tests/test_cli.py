@@ -376,6 +376,35 @@ def test_certify_bad_pattern_exit_1(capsys):
     assert "whitehead:a,b" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", "--pattern", "whitehead:1,1",
+     "--family", "mirror(torus(2,3));3*mirror(torus(2,3))",
+     "--mode", "exhaustive"],
+    ["demo", "--count", "2", "--budget", "2"],
+])
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_per_side_cap_below_one_exit_2(capsys, command, cap):
+    # a cap below 1 admits no combination, so it would certify nothing
+    code, out, err = run_cli(capsys, command + ["--per-side-cap", cap])
+    assert code == 2
+    assert out == ""
+    assert "per-side cap" in err
+
+
+def test_certify_per_side_cap_one_still_certifies(capsys):
+    code, out, _ = run_cli(capsys, [
+        "certify", "--pattern", "whitehead:1,1",
+        "--family", "mirror(torus(2,3));3*mirror(torus(2,3))",
+        "--mode", "exhaustive", "--per-side-cap", "1",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert data["per_side_cap"] == 1
+    assert {tuple(c["coefficients"]) for c in data["combos"]} == {
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1),
+    }
+
+
 # ---------------------------------------------------------------- demo
 
 

@@ -13,7 +13,7 @@ from knotcert import cli, signatures
 from knotcert.knots import alexander_of_matrix
 from knotcert.polynomials import cyclotomic, factor_multiplicity
 from strategies import dense_conjugate, knot_exprs, torus_exprs, unit_fractions
-from oracles import float_signature
+from oracles import float_signature, sympy_cyclotomic_nullity
 from test_acceptance import _SIGNATURE_CORPUS
 
 
@@ -233,6 +233,50 @@ def test_repeated_cyclotomic_factor_takes_the_field_path(monkeypatch):
         signatures._block_signature.cache_clear()
     # only the repeated factor reaches the field; simple ones never do
     assert set(calls) == {(1, 6)}
+
+
+# one diagonal block with Delta = (t^2 - t + 1)^2 whose A(e^{2 pi i/6})
+# has a one-dimensional kernel: the nullity stays below the multiplicity
+_PHI6_SQUARED_NULLITY_1 = kc.raw(
+    ((-2, -1, 0, 1), (0, -2, 1, 1), (2, 1, 0, -2), (-1, 2, -1, 0))
+)
+
+
+def test_repeated_factor_with_nullity_below_its_multiplicity():
+    v = kc.evaluate(_PHI6_SQUARED_NULLITY_1)
+    (block,) = v.diagonal_blocks()
+    mult, _ = factor_multiplicity(alexander_of_matrix(v), cyclotomic(6))
+    assert mult == 2
+    assert signatures._nullity(block, 1, 6) == 1
+    x = Fraction(1, 6)
+    assert kc.levine_tristram(_PHI6_SQUARED_NULLITY_1, x) == -1
+    assert float_signature(v.rows, x) == -1
+
+
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_exact_nullity_matches_sympy_at_every_root(n):
+    v, block = _one_dense_block(kc.torus(2, n), n)
+    locus = signatures._circle_root_locus(alexander_of_matrix(v))
+    for x in locus + [1 - x for x in locus]:
+        j, d = x.numerator, x.denominator
+        assert signatures._exact_nullity(block, j, d) == (
+            sympy_cyclotomic_nullity(block, j, d)
+        ), x
+
+
+@pytest.mark.parametrize("e, seed, x, nullity", [
+    (kc.connected_sum(kc.torus(2, 3), kc.torus(2, 9)), 6, Fraction(1, 6), 2),
+    (kc.connected_sum(kc.torus(2, 9), kc.torus(2, 9)), 18, Fraction(1, 18), 2),
+    (_PHI6_SQUARED_NULLITY_1, None, Fraction(1, 6), 1),
+], ids=["T(2,3)#T(2,9)", "T(2,9)#T(2,9)", "phi6-squared-4x4"])
+def test_exact_nullity_matches_sympy_on_repeated_factors(e, seed, x, nullity):
+    if seed is None:
+        (block,) = kc.evaluate(e).diagonal_blocks()
+    else:
+        _, block = _one_dense_block(e, seed)
+    j, d = x.numerator, x.denominator
+    assert signatures._exact_nullity(block, j, d) == nullity
+    assert sympy_cyclotomic_nullity(block, j, d) == nullity
 
 
 # ---------------------------------------------------------------------------

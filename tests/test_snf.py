@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given
 
 from knotcert.polynomials import det_int
-from knotcert.snf import invariant_factors, is_unimodular, smith_normal_form
+from knotcert.snf import is_unimodular, smith_normal_form
 from oracles import sympy_invariant_factors
 
 int_matrices = st.integers(1, 5).flatmap(
@@ -55,14 +55,6 @@ def test_snf_transform_properties(rows):
 def test_snf_diag_matches_sympy_invariant_factors(rows):
     diag, _, _ = smith_normal_form(rows)
     assert tuple(d for d in diag if d > 1) == sympy_invariant_factors(rows)
-
-
-@given(int_matrices)
-def test_invariant_factors_helper_consistent(rows):
-    nontrivial, diag = invariant_factors(rows)
-    d2, _, _ = smith_normal_form(rows)
-    assert diag == d2
-    assert nontrivial == tuple(d for d in diag if d > 1)
 
 
 def test_snf_identity_and_zero():
