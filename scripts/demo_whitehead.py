@@ -18,6 +18,7 @@ import sys
 import time
 
 import knotcert as kc
+from knotcert.cli import report_error
 from knotcert.knots import parse_knot
 
 
@@ -78,9 +79,13 @@ def main():
     ap.add_argument("--output", help="write the certificate JSON here")
     args = ap.parse_args()
 
-    survey(args.grid)
-    data, ok = certify_family(args.a, args.b, args.count, args.budget,
-                              args.per_side_cap, args.mode)
+    try:
+        survey(args.grid)
+        data, ok = certify_family(args.a, args.b, args.count, args.budget,
+                                  args.per_side_cap, args.mode)
+    except (kc.KnotcertError, MemoryError) as ex:
+        # the CLI's error: line and exit code (2 hypothesis, 3 budget)
+        return report_error(ex)
     if not ok:
         return 1
     if args.output:

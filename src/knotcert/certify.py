@@ -16,6 +16,7 @@ not share the vectorized search code.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,12 +33,10 @@ from .obstruction import (
     CGProfile,
     ObstructionInstance,
     RatInterval,
-    _canonical_json,
     _component_character,
     check_slice_obstruction,
     obstruction_sum,
     select_subsequence,
-    witness_json,
 )
 from .polynomials import prime_powers
 from .signatures import check_ordering_hypothesis
@@ -60,9 +59,15 @@ def _frac(f):
     return str(Fraction(f))
 
 
-def _witnesses_json(witnesses):
-    return [witness_json(gens, coeffs, value)
-            for gens, coeffs, value in witnesses]
+def _canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _fresh_witness(w):
+    """A copy of a witness dict that shares no list or dict with it."""
+    value = w["value"]
+    return {"chi": w["chi"][:], "subgroup": [row[:] for row in w["subgroup"]],
+            "value": dict(value) if isinstance(value, dict) else value}
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class ComboRecord:
             out["witness_count"] = self.subgroup_count
             out["witness_digest"] = self.witness_digest
         else:
-            out["witnesses"] = _witnesses_json(self.witnesses)
+            out["witnesses"] = [_fresh_witness(w) for w in self.witnesses]
         return out
 
 

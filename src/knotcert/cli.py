@@ -362,23 +362,28 @@ def run(argv=None):
             lines, data = _demo_report(args)
         _emit(args, lines, data)
         return 0
-    except (ExpressionError, ProfileError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except (BudgetExceeded, PrecisionExhausted) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 3
-    except MemoryError as ex:
+    except (KnotcertError, MemoryError) as ex:
+        return report_error(ex)
+
+
+def report_error(ex):
+    """Print ex as an error: line on stderr and return its exit code.
+
+    ex is a KnotcertError or a MemoryError; the codes are the module
+    docstring's.
+    """
+    if isinstance(ex, MemoryError):
         # numpy's _ArrayMemoryError included: memory is a budget too
         detail = f": {ex}" if str(ex) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
-    except (HypothesisViolation, UnsupportedKnotError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    print(f"error: {ex}", file=sys.stderr)
+    if isinstance(ex, (BudgetExceeded, PrecisionExhausted)):
+        return 3
+    if isinstance(ex, (HypothesisViolation, UnsupportedKnotError)):
         return 2
-    except KnotcertError as ex:  # any stragglers: treat as input errors
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+    # ExpressionError, ProfileError and any stragglers: input errors
+    return 1
 
 
 def main():

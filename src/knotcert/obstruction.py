@@ -462,36 +462,20 @@ def _self_annihilating_mask(inst, subs):
 # ---------------------------------------------------------------------------
 # canonical witness serialization
 #
-# A witness is (subgroup generators, character coefficient tuple, value).
-# Its canonical JSON form (sorted keys, no spaces) is the one
-# certificates embed; the digest of a witness family is sha256 over the
-# canonical JSON array of those forms.  Inline witnesses go through
-# witness_json.  A digest-only family is built as byte strings, whole
-# arrays at a time (_witness_texts): a witness's chi and value are both
-# functions of its base-q code, so each distinct code gets one head
-# (chi, up to the subgroup's opening bracket) and one tail (the closing
-# bracket and the value), and the subgroup text between them joins the
-# texts of its generator rows, looked up by their base-q codes (_gen_codes)
-# in a per-(q, n) table (_row_texts).  No witness needs a dict, a
-# json.dumps or a Fraction of its own.
-
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def value_json(v):
-    if isinstance(v, RatInterval):
-        return {"lo": str(v.lo), "hi": str(v.hi)}
-    return str(Fraction(v))
-
-
-def witness_json(gens, coeffs, value):
-    return {
-        "subgroup": [list(row) for row in gens],
-        "chi": list(coeffs),
-        "value": value_json(value),
-    }
-
+# A witness is one swept subgroup's generators, the coefficient tuple of
+# its first witnessing character and that character's obstruction sum.
+# Its canonical JSON form (sorted keys, no spaces) is
+# {"chi":[...],"subgroup":[[...],...],"value":V}, where V is the sum as
+# a fraction string, or {"hi":...,"lo":...} for an interval.
+# _witness_texts is the one writer of that form.  It builds a family's
+# texts as byte strings, whole arrays at a time: a witness's chi and
+# value are both functions of its base-q code, so each distinct code
+# gets one head (chi, up to the subgroup's opening bracket) and one
+# tail (the closing bracket and the value), and the subgroup text
+# between them joins the texts of its generator rows, looked up by
+# their base-q codes (_gen_codes) in a per-(q, n) table (_row_texts).
+# An inline family is those texts parsed as one JSON array, and a
+# digest-only family is the sha256 of that array (witness_list_digest).
 
 def _int_list_text(values):
     """Canonical JSON text of a list of Python ints."""
@@ -540,20 +524,11 @@ def _gen_codes(q, n, order):
 
 
 @lru_cache(maxsize=1024)
-def _sum_value(lo, hi, den):
-    """A tabled sum lo/den to hi/den: a Fraction, or a RatInterval.
-
-    Cached: the combinations of a run share a few values among all
-    their distinct witness codes.
-    """
-    return RatInterval(Fraction(lo, den), Fraction(hi, den)).unwrap()
-
-
-@lru_cache(maxsize=1024)
 def _value_tail(lo, hi, den):
-    """Canonical JSON bytes that end a witness of value _sum_value(...)."""
-    value = _canonical_json(value_json(_sum_value(lo, hi, den)))
-    # keys in sorted order, as _canonical_json(witness_json(...)) writes them
+    """Canonical JSON bytes that end a witness of value lo/den to hi/den."""
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
+    # an interval's keys in sorted order, as every key of the text is
+    value = f'"{lo}"' if lo == hi else f'{{"hi":"{hi}","lo":"{lo}"}}'
     return f'],"value":{value}}}'.encode()
 
 
@@ -567,7 +542,7 @@ def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
     texts and its code's tail, concatenated as whole arrays of
     _DIGEST_CHUNK witnesses at a time; heads and tails are built only
     for the distinct codes.  A generator of one bytes object per
-    witness, each chunk built when the digest reaches it.
+    witness, each chunk built when its reader reaches it.
     """
     plain, comma = _row_texts(q, n)
     gens = _gen_codes(q, n, order)
@@ -596,12 +571,10 @@ _DIGEST_CHUNK = 1024
 def witness_list_digest(texts):
     """sha256 hex digest of the canonical JSON array of a witness family.
 
-    texts yields each witness's canonical JSON text, one item per
-    witness in family order: str (_canonical_json of its witness_json
-    dict) or bytes (as _witness_texts builds them), one kind per
-    digest.  The array is hashed in chunks of _DIGEST_CHUNK witnesses,
-    so a family of any size needs only one chunk's text in memory at a
-    time.
+    texts yields each witness's canonical JSON bytes, one item per
+    witness in family order, as _witness_texts builds them.  The array
+    is hashed in chunks of _DIGEST_CHUNK witnesses, so a family of any
+    size needs only one chunk's text in memory at a time.
     """
     # imported here, not at module top: loading OpenSSL costs every
     # process that never hashes a digest a few MB of memory
@@ -612,10 +585,7 @@ def witness_list_digest(texts):
     sep = b""
     while chunk := list(islice(texts, _DIGEST_CHUNK)):
         sha.update(sep)
-        if isinstance(chunk[0], str):
-            sha.update(",".join(chunk).encode())
-        else:
-            sha.update(b",".join(chunk))
+        sha.update(b",".join(chunk))
         sep = b","
     sha.update(b"]")
     return sha.hexdigest()
@@ -625,9 +595,11 @@ def witness_list_digest(texts):
 class SliceObstructionResult:
     """Outcome of the metabolizer sweep; never claims sliceness.
 
+    witnesses holds one witness per swept subgroup, in enumeration
+    order, each as the dict a certificate embeds: {"chi": [...],
+    "subgroup": [[...], ...], "value": "a/b" or {"hi": ..., "lo": ...}}.
     When a witness_cap is in force and the subgroup count exceeds it,
-    witnesses are not materialized; witness_digest commits to the full
-    family instead (one witness per subgroup, in enumeration order).
+    witnesses is empty and witness_digest commits to the family instead.
     """
 
     obstructed: bool
@@ -658,9 +630,11 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     excluding 0 in bounded mode).  Raises BudgetExceeded when the
     ambient group is larger than max_group_order.
 
-    witness_cap (None = keep everything): when more subgroups than this
-    are witnessed, the result carries only the sha256 digest of the
-    canonical witness array rather than the witnesses themselves.
+    Each witness is written once, as canonical JSON text, by
+    _witness_texts.  witness_cap (None = keep everything): when more
+    subgroups than this are witnessed, the result carries only the
+    sha256 digest of the array of those texts; otherwise the array is
+    parsed into the result's witness dicts.
     """
     q = inst.p ** inst.k
     total = inst.total
@@ -685,10 +659,9 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         )
     target = inst.p ** (inst.k * total // 2)
     subs = _candidates(q, total, target)[0]
-    rows, picked = np.arange(len(subs)), range(len(subs))
+    rows = np.arange(len(subs))
     if self_annihilating_only:
         rows = np.flatnonzero(_self_annihilating_mask(inst, subs))
-        picked = rows.tolist()
     lo_t, hi_t, den = _value_tables(inst)
     # the obstruction sum of every character tuple, by base-q code, so
     # each subgroup member's sum is one lookup: at most q^total entries,
@@ -701,30 +674,18 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         q, total, target, rows, (sum_lo > 0) | (sum_hi < 0))
     if first is None:
         return SliceObstructionResult(
-            False, "vanishing-subgroup", inst.p, inst.k, total, len(picked),
-            failed_subgroup=subs[picked[bad]].gens,
+            False, "vanishing-subgroup", inst.p, inst.k, total, len(rows),
+            failed_subgroup=subs[int(rows[bad])].gens,
             profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
-    if witness_cap is not None and len(picked) > witness_cap:
-        digest = witness_list_digest(_witness_texts(
-            q, total, target, rows, first, sum_lo, sum_hi, den,
-        ))
-        witnesses = ()
+    texts = _witness_texts(q, total, target, rows, first, sum_lo, sum_hi, den)
+    if witness_cap is not None and len(rows) > witness_cap:
+        digest, witnesses = witness_list_digest(texts), ()
     else:
-        # chi tuple and value of each distinct witness code, made once
-        codes = first.tolist()
-        made = {
-            c: (tuple(vecs[c].tolist()),
-                _sum_value(int(sum_lo[c]), int(sum_hi[c]), den))
-            for c in set(codes)
-        }
-        digest = None
-        witnesses = tuple(
-            (subs[i].gens, *made[c]) for i, c in zip(picked, codes)
-        )
+        digest, witnesses = None, tuple(json.loads(b"[" + b",".join(texts) + b"]"))
     return SliceObstructionResult(
-        True, "witnessed", inst.p, inst.k, total, len(picked),
+        True, "witnessed", inst.p, inst.k, total, len(rows),
         witnesses=witnesses, witness_digest=digest,
         profile_mode=inst.profile.mode, bound=inst.profile.bound,
         self_annihilating_only=self_annihilating_only,

@@ -161,6 +161,26 @@ def sympy_alexander_coeffs(rows):
 
 
 # ---------------------------------------------------------------------------
+# witness dict oracle: a certificate's witness built field by field
+
+def witness_json(gens, coeffs, value):
+    """The certificate dict of one witness, from its parts.
+
+    value is a Fraction or an interval with Fraction ends lo and hi;
+    the package writes witnesses as text and never builds this dict.
+    """
+    if hasattr(value, "lo"):
+        value = {"lo": str(value.lo), "hi": str(value.hi)}
+    else:
+        value = str(Fraction(value))
+    return {
+        "subgroup": [list(row) for row in gens],
+        "chi": list(coeffs),
+        "value": value,
+    }
+
+
+# ---------------------------------------------------------------------------
 # isotropy oracle: the linking form in Fraction arithmetic, pair by pair
 
 def self_annihilating_mask(inst, subs):

@@ -208,6 +208,31 @@ def test_json_carries_conventions_and_version():
     assert d["family"] == ["1*mirror(torus(2,3))", "5*mirror(torus(2,3))"]
 
 
+@pytest.mark.parametrize("profile", [
+    kc.CGProfile.zero(), kc.CGProfile.bounded(Fraction(1, 2)),
+], ids=["exact", "bounded"])
+def test_each_document_has_its_own_witness_dicts(profile):
+    # the tamper tests edit the document to_json_dict returns; no edit
+    # may reach the certificate or the next document
+    cert = kc.certify_independence(
+        kc.whitehead_cover(1, 1), profile, family(1, 5),
+        budget=2, mode="exhaustive",
+    )
+    text = cert.to_json()
+    doc = cert.to_json_dict()
+    witness = _inline_witness(doc)
+    witness["chi"][0] += 1
+    witness["subgroup"][0][0] += 1
+    if isinstance(witness["value"], dict):
+        witness["value"]["lo"] = "0"
+    else:
+        witness["value"] += "0"
+    assert cert.to_json() == text
+    second = cert.to_json_dict()
+    assert second != doc
+    assert kc.verify_certificate(second) == (True, [])
+
+
 def test_witness_cap_replaces_lists_with_digests():
     capped = small_cert(witness_cap=2).to_json_dict()
     full = small_cert(witness_cap=None).to_json_dict()
@@ -219,7 +244,7 @@ def test_witness_cap_replaces_lists_with_digests():
         twin = by_coeffs[tuple(combo["coefficients"])]
         assert combo["witness_count"] == twin["subgroup_count"]
         assert combo["witness_digest"] == obstruction.witness_list_digest(
-            json.dumps(w, sort_keys=True, separators=(",", ":"))
+            json.dumps(w, sort_keys=True, separators=(",", ":")).encode()
             for w in twin["witnesses"]
         )
     ok, problems = kc.verify_certificate(capped)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import knotcert as kc
 import knotcert.obstruction as obstruction
 from knotcert.covers import Character
-from oracles import brute_force_subgroups, self_annihilating_mask
+from oracles import brute_force_subgroups, self_annihilating_mask, witness_json
 
 
 def wh11():
@@ -236,11 +236,24 @@ def exact_inst():
     )
 
 
+def _gens(w):
+    """A witness dict's subgroup generators as a tuple of row tuples."""
+    return tuple(map(tuple, w["subgroup"]))
+
+
+def _value(w):
+    """A witness dict's value as a Fraction or a RatInterval."""
+    v = w["value"]
+    if isinstance(v, dict):
+        return kc.RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
+    return Fraction(v)
+
+
 def test_search_witnesses_every_candidate():
     res = kc.check_slice_obstruction(exact_inst())
     assert res.obstructed and res.reason == "witnessed"
     assert res.subgroup_count == 4
-    by_gens = {w[0]: w[2] for w in res.witnesses}
+    by_gens = {_gens(w): _value(w) for w in res.witnesses}
     assert by_gens == {
         ((0, 1),): Fraction(-2),
         ((1, 0),): Fraction(6),
@@ -249,9 +262,9 @@ def test_search_witnesses_every_candidate():
     }
     # every witness value is reproducible through the scalar route
     inst = exact_inst()
-    for gens, coeffs, value in res.witnesses:
-        chi = tuple(Character((Fraction(c, 3),)) for c in coeffs)
-        assert kc.obstruction_sum(inst, chi) == value
+    for w in res.witnesses:
+        chi = tuple(Character((Fraction(c, 3),)) for c in w["chi"])
+        assert kc.obstruction_sum(inst, chi) == _value(w)
 
 
 def test_search_identical_sides_is_inconclusive():
@@ -296,7 +309,8 @@ def test_search_bounded_profile_can_still_obstruct():
     res = kc.check_slice_obstruction(inst)
     assert res.obstructed and res.reason == "witnessed"
     assert len(res.witnesses) == res.subgroup_count == 4
-    for _, _, value in res.witnesses:
+    for w in res.witnesses:
+        value = _value(w)
         assert isinstance(value, kc.RatInterval)
         assert value.excludes_zero
 
@@ -320,9 +334,9 @@ def test_self_annihilating_filter_narrows_candidates():
     assert res_all.subgroup_count == 4
     assert res_sa.subgroup_count == 2
     assert res_sa.self_annihilating_only
-    sa_gens = {w[0] for w in res_sa.witnesses}
+    sa_gens = {_gens(w) for w in res_sa.witnesses}
     assert sa_gens == {((1, 1),), ((1, 2),)}
-    assert sa_gens <= {w[0] for w in res_all.witnesses}
+    assert sa_gens <= {_gens(w) for w in res_all.witnesses}
 
 
 def _first_witness_oracle(inst, keep=None):
@@ -351,6 +365,14 @@ def _first_witness_oracle(inst, keep=None):
     return tuple(witnesses), None
 
 
+def _oracle_dicts(inst, keep=None):
+    """_first_witness_oracle's witnesses as certificate dicts, or None."""
+    witnesses, failed = _first_witness_oracle(inst, keep)
+    if failed is not None:
+        return None
+    return tuple(witness_json(*w) for w in witnesses)
+
+
 def test_sweep_matches_first_witness_oracle():
     # dual route: the table-lookup sweep against a scalar replay of
     # every element, on vanishing and witnessed, exact and bounded cases
@@ -376,7 +398,8 @@ def test_sweep_matches_first_witness_oracle():
         witnesses, failed = _first_witness_oracle(inst)
         verdicts.append(res.obstructed)
         if failed is None:
-            assert res.obstructed and res.witnesses == witnesses
+            assert res.obstructed and res.witnesses == tuple(
+                witness_json(*w) for w in witnesses)
         else:
             assert not res.obstructed and res.failed_subgroup == failed
     assert verdicts == [True, False, False, True, True]
@@ -461,7 +484,8 @@ def test_filtered_sweep_matches_first_witness_oracle():
     subs = kc.enumerate_subgroups((3,) * inst.total, 3 ** (inst.total // 2))
     mask = obstruction._self_annihilating_mask(inst, subs).tolist()
     witnesses, failed = _first_witness_oracle(inst, keep=mask)
-    assert failed is None and res.witnesses == witnesses
+    assert failed is None and res.witnesses == tuple(
+        witness_json(*w) for w in witnesses)
     assert mask.index(True) > 0
 
 
@@ -495,14 +519,13 @@ def test_witness_cap_digest_commits_to_full_list():
     res_capped = kc.check_slice_obstruction(exact_inst(), witness_cap=2)
     assert res_capped.witnesses == ()
     assert res_capped.witness_digest is not None
-    entries = [
-        obstruction.witness_json(gens, coeffs, value)
-        for gens, coeffs, value in res_full.witnesses
-    ]
+    entries = list(_oracle_dicts(exact_inst()))
+    assert list(res_full.witnesses) == entries
     blob = json.dumps(entries, sort_keys=True, separators=(",", ":"))
     assert res_capped.witness_digest == hashlib.sha256(blob.encode()).hexdigest()
     assert res_capped.witness_digest == obstruction.witness_list_digest(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) for e in entries
+        json.dumps(e, sort_keys=True, separators=(",", ":")).encode()
+        for e in entries
     )
     # a generous cap keeps the witnesses inline
     res_loose = kc.check_slice_obstruction(exact_inst(), witness_cap=10)
@@ -513,19 +536,17 @@ def test_witness_cap_digest_commits_to_full_list():
 def test_witness_list_digest_across_chunk_boundaries():
     chunk = obstruction._DIGEST_CHUNK
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        texts = [f'{{"i":{i}}}' for i in range(count)]
-        blob = "[" + ",".join(texts) + "]"
-        expected = hashlib.sha256(blob.encode()).hexdigest()
-        # str texts, as json.dumps writes them, or bytes, as
-        # _witness_texts yields them
+        texts = [f'{{"i":{i}}}'.encode() for i in range(count)]
+        blob = b"[" + b",".join(texts) + b"]"
+        expected = hashlib.sha256(blob).hexdigest()
+        # an iterator over a list, or a generator, as _witness_texts is
         assert obstruction.witness_list_digest(iter(texts)) == expected
         assert obstruction.witness_list_digest(
-            t.encode() for t in texts) == expected
+            t for t in texts) == expected
 
 
-def _dict_oracle_digest(witnesses):
-    entries = [obstruction.witness_json(g, c, v) for g, c, v in witnesses]
-    blob = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+def _dict_oracle_digest(entries):
+    blob = json.dumps(list(entries), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -538,7 +559,7 @@ def _digest_case(name):
             wh11(), kc.CGProfile.bounded(Fraction(1, 2)),
             (m2, m3), (kc.torus(2, 5), kc.torus(2, 3)), 3, 1
         )
-        return inst, {}, lambda w: isinstance(w[2], kc.RatInterval)
+        return inst, {}, lambda w: isinstance(_value(w), kc.RatInterval)
     if name == "denominator-4":
         # Z_5 with fractional taubar values: den = 4
         prof = kc.CGProfile.exact(
@@ -548,7 +569,7 @@ def _digest_case(name):
             kc.whitehead_cover(1, -1), prof,
             (kc.unknot(), mt3), (kc.torus(2, 3), kc.torus(2, 5)), 5, 1
         )
-        return inst, {}, lambda w: w[2].denominator > 1
+        return inst, {}, lambda w: _value(w).denominator > 1
     sa = kc.ObstructionInstance(
         wh11(), kc.CGProfile.zero(),
         (kc.torus(2, 3), m2), (mt3, kc.torus(2, 5)), 3, 1
@@ -566,7 +587,7 @@ def _digest_case(name):
             (mt3, mt3), (kc.torus(2, 3), kc.unknot()), 11, 1
         )
         return inst, {"max_group_order": 11 ** 4}, (
-            lambda w: max(w[1]) >= 10 and max(map(max, w[0])) >= 10)
+            lambda w: max(w["chi"]) >= 10 and max(map(max, w["subgroup"])) >= 10)
     assert name == "z9"
     inst = kc.ObstructionInstance(
         kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
@@ -580,14 +601,30 @@ def _digest_case(name):
     "unfiltered", "z9", "z11",
 ])
 def test_capped_digest_matches_dict_oracle(name):
-    # the digest-only family is assembled from cached text pieces; an
-    # independent json.dumps over witness_json dicts must hash the same
+    # both the digest and the inline dicts come from _witness_texts; the
+    # scalar first-witness walk, written out as dicts by the oracle and
+    # hashed by json.dumps, must give the same dicts and the same digest
     inst, kwargs, prop = _digest_case(name)
     full = kc.check_slice_obstruction(inst, **kwargs)
     capped = kc.check_slice_obstruction(inst, witness_cap=2, **kwargs)
     assert full.obstructed and len(full.witnesses) == full.subgroup_count > 2
     assert capped.witnesses == () and capped.subgroup_count == full.subgroup_count
-    assert capped.witness_digest == _dict_oracle_digest(full.witnesses)
+    subs = kc.enumerate_subgroups((inst.p ** inst.k,) * inst.total,
+                                  inst.p ** (inst.k * inst.total // 2))
+    keep = None
+    if kwargs.get("self_annihilating_only"):
+        keep = self_annihilating_mask(inst, subs)
+    if name == "z11":
+        # the walk over all 16,226 subgroups takes seconds: walk the
+        # first 1,024, and hash the oracle's dicts of every witness's parts
+        keep = [i < 1024 for i in range(len(subs))]
+        assert full.witnesses[:1024] == _oracle_dicts(inst, keep)
+        expect = [witness_json(_gens(w), w["chi"], _value(w))
+                  for w in full.witnesses]
+    else:
+        expect = _oracle_dicts(inst, keep)
+    assert full.witnesses == tuple(expect)
+    assert capped.witness_digest == _dict_oracle_digest(expect)
     if prop is not None:
         assert any(map(prop, full.witnesses))
     if name == "z11":
@@ -596,7 +633,7 @@ def test_capped_digest_matches_dict_oracle(name):
         # the swept subset is a proper, non-initial part of the family
         everything = kc.check_slice_obstruction(inst)
         assert full.subgroup_count < everything.subgroup_count
-        assert full.witnesses[0][0] != everything.witnesses[0][0]
+        assert full.witnesses[0]["subgroup"] != everything.witnesses[0]["subgroup"]
 
 
 def test_digest_of_an_empty_swept_family():
@@ -610,21 +647,33 @@ def test_digest_of_an_empty_swept_family():
                                      witness_cap=-1)
     assert res.obstructed and res.subgroup_count == 0
     assert res.witness_digest == hashlib.sha256(b"[]").hexdigest()
+    assert res.witnesses == ()
+    # without a cap the empty family is inline: no witness, no digest
+    res = kc.check_slice_obstruction(inst, self_annihilating_only=True,
+                                     witness_cap=None)
+    assert res.obstructed and res.subgroup_count == 0
+    assert res.witnesses == () and res.witness_digest is None
 
 
 def test_scaling_widens_witness_values():
-    # replacing a companion by a higher multiple scales its contribution
-    values = {}
+    # replacing both companions by a higher multiple scales the sum:
+    # K_m # K_m is witnessed on all 4 subgroups of (Z_3)^2 by the same
+    # characters for every m, with values 4, 4, 8, 8 times m
+    witnesses = {}
     for m in (1, 2, 3):
+        k_m = kc.multiple(m, kc.mirror(kc.torus(2, 3)))
         inst = kc.ObstructionInstance(
-            wh11(), kc.CGProfile.zero(),
-            (kc.multiple(m, kc.mirror(kc.torus(2, 3))),), (kc.unknot(),), 3, 1
+            wh11(), kc.CGProfile.zero(), (k_m, k_m), (), 3, 1
         )
         res = kc.check_slice_obstruction(inst)
-        values[m] = {w[0]: w[2] for w in res.witnesses}
-    for gens, v1 in values[1].items():
-        assert values[2][gens] == 2 * v1
-        assert values[3][gens] == 3 * v1
+        assert res.obstructed and res.reason == "witnessed"
+        assert len(res.witnesses) == res.subgroup_count == 4
+        witnesses[m] = {(_gens(w), tuple(w["chi"])): _value(w)
+                        for w in res.witnesses}
+    assert sorted(witnesses[1].values()) == [4, 4, 8, 8]
+    for key, v1 in witnesses[1].items():
+        assert witnesses[2][key] == 2 * v1
+        assert witnesses[3][key] == 3 * v1
 
 
 def _chis(coeffs):

@@ -1,4 +1,4 @@
-"""The example scripts run end to end and report a failed re-verification."""
+"""The example scripts run end to end and report failures as the CLI does."""
 
 import pathlib
 import runpy
@@ -28,4 +28,18 @@ def test_demo_script_exits_1_when_reverification_fails(monkeypatch, capsys, tmp_
     out = tmp_path / "cert.json"
     assert _run_demo(monkeypatch, SMALL + ["--output", str(out)]) == 1
     assert "tampered" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,code", [
+    (["--per-side-cap", "0"], 2),
+    (["--b", "-1", "--budget", "6"], 3),
+], ids=["hypothesis", "budget"])
+def test_demo_script_maps_library_errors_like_the_cli(
+        monkeypatch, capsys, tmp_path, extra, code):
+    # an error: line and the CLI's exit code, not a traceback
+    out = tmp_path / "cert.json"
+    assert _run_demo(monkeypatch, SMALL + extra + ["--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
