@@ -15,7 +15,6 @@ from .errors import (
     ExpressionError,
     HypothesisViolation,
     KnotcertError,
-    PrecisionExhausted,
     ProfileError,
     UnsupportedKnotError,
 )
@@ -76,7 +75,7 @@ from .certify import (
 __all__ = [
     "BudgetExceeded", "CertificationInconclusive", "EmptySelectionError",
     "ExpressionError", "HypothesisViolation", "KnotcertError",
-    "PrecisionExhausted", "ProfileError", "UnsupportedKnotError",
+    "ProfileError", "UnsupportedKnotError",
     "KnotExpr", "SeifertMatrix", "alexander_polynomial", "connected_sum",
     "evaluate", "expr_str", "mirror", "multiple", "parse_knot", "raw",
     "torus", "unknot",

@@ -307,7 +307,7 @@ def _replay_witnesses(data, pattern, profile, family, problems):
     """Replay every inline witness through obstruction_sum.
 
     Each witness is one obstruction_sum call and one Subgroup.contains
-    check.  Witnesses of a combination repeat their (chi, recorded
+    check, made once per distinct (subgroup, chi) pair.  Witnesses of a combination repeat their (chi, recorded
     value) pairs, so each distinct pair is parsed and judged once, and
     every witness carrying it gets that pair's verdict; the pair's key
     includes the types of chi's entries, so a 1.0 is never taken for a
@@ -319,6 +319,8 @@ def _replay_witnesses(data, pattern, profile, family, problems):
     p, k = data["prime"], data["exponent"]
     q = p ** k
     selected = [family[i] for i in data["selection"]["indices"]]
+    # combos share subgroups: (generator rows, chi) -> contains verdict
+    members = {}
     for combo in data.get("combos", ()):
         coeffs = combo["coefficients"]
         try:
@@ -350,7 +352,9 @@ def _replay_witnesses(data, pattern, profile, family, problems):
                     w["chi"], coeffs, val, _value_from_json(w["value"])))
             problems.extend(seen[1])
             sgens = tuple(tuple(r) for r in w["subgroup"])
-            if sgens and not Subgroup(q, len(vec), sgens).contains(vec):
+            if (sgens, vec) not in members:
+                members[sgens, vec] = not sgens or Subgroup(q, len(vec), sgens).contains(vec)
+            if not members[sgens, vec]:
                 problems.append(
                     f"witness {w['chi']} is not in its subgroup {sgens}"
                 )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 parse/input errors, 2 hypothesis violations
-(including inconclusive certifications), 3 budget, precision or
-memory exhaustion.
+(including inconclusive certifications), 3 budget or memory
+exhaustion.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     ExpressionError,
     HypothesisViolation,
     KnotcertError,
-    PrecisionExhausted,
     ProfileError,
     UnsupportedKnotError,
 )
@@ -378,7 +377,7 @@ def report_error(ex):
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     print(f"error: {ex}", file=sys.stderr)
-    if isinstance(ex, (BudgetExceeded, PrecisionExhausted)):
+    if isinstance(ex, BudgetExceeded):
         return 3
     if isinstance(ex, (HypothesisViolation, UnsupportedKnotError)):
         return 2

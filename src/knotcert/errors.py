@@ -45,10 +45,3 @@ class UnsupportedKnotError(KnotcertError):
     roots that are not roots of unity, so the jump locus of the
     signature step function would contain irrational points.
     """
-
-
-class PrecisionExhausted(KnotcertError):
-    """Adaptive-precision certification hit its internal cap.
-
-    Raised instead of ever returning an uncertified sign.
-    """

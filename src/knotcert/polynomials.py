@@ -72,7 +72,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate by Horner; works for int, Fraction, complex, mpmath."""
+        """Evaluate by Horner; works for int, Fraction and complex x."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -270,7 +270,7 @@ def det_poly(rows):
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (Sturm chains, exact nullity mod Phi_d)
+# rational-coefficient helpers (Sturm chains, exact inertia mod Phi_d)
 
 def _qdivmod(a, b):
     a, b = _trim(a), _trim(b)

@@ -5,30 +5,29 @@ of the Hermitian matrix
 
     A(omega) = (1 - omega) V + (1 - conj(omega)) V^T .
 
-Exactness strategy, per eigenvalue sign:
+Exactness strategy, per diagonal block of V:
 
-* The nullity of A(omega) is decided exactly.  A(omega) is
-  (1 - omega)(V - conj(omega) V^T), so its nullity is the number of
-  invariant factors of V - t V^T over Q[t] that the d-th cyclotomic
-  polynomial Phi_d divides (d = order of omega; Levine 1969,
-  Tristram 1969, Kawauchi's survey).  That count is 0 when Phi_d does
-  not divide Delta = det(V - t V^T), and otherwise at least 1 and at
-  most the multiplicity of Phi_d in Delta.  A simple factor, as in
-  every torus(2, n) block, therefore gives nullity 1 with no further
-  work; only a repeated factor falls back to exact Gaussian
-  elimination over Q(zeta_d) = Q[t]/Phi_d, with every entry a
-  rational polynomial residue mod Phi_d.
+* The nullity of A(omega) = (1 - omega)(V - conj(omega) V^T) is the
+  number of invariant factors of V - t V^T over Q[t] that the d-th
+  cyclotomic polynomial Phi_d divides (d = order of omega; Levine 1969,
+  Tristram 1969, Kawauchi's survey).  That is 0 when Phi_d does not
+  divide Delta = det(V - t V^T), and 1 when it divides it once, as in
+  every torus(2, n) block; a repeated factor is left to the exact
+  congruence below, which returns the nullity too.
 * The nonzero eigenvalue signs come from rigorous Gershgorin discs of
   B = Q* A Q, where Q is a floating approximation of the eigenvector
-  matrix and B is evaluated in outward-rounded interval arithmetic.
-  B is congruent to A, so by Sylvester's law its signature equals the
-  signature of A.  The first pass is in double-precision
+  matrix and B is evaluated in outward-rounded double-precision
   midpoint/radius form, with omega enclosed by integer fixed-point
-  arithmetic (no mpmath).  Only when its discs are inconclusive does
-  the mpmath interval fallback refine them at increasing precision
-  until exactly the known number straddle zero; mpmath is imported
-  there and nowhere else.  A sign is never accepted from an
-  uncertified float.
+  arithmetic.  B is congruent to A, so by Sylvester's law its signature
+  equals the signature of A.
+* Where the discs are inconclusive, one exact fallback answers.  The
+  signature is constant between circle roots of Delta, so a nonsingular
+  point moves to the simplest rational on its arc (_arc_point, exact
+  Sturm counts).  A singular point, a repeated factor or a point that
+  is already the simplest on its arc is diagonalized by congruence over
+  Q(omega) = Q[t]/Phi_d (_exact_inertia), each pivot's sign read in
+  fixed point at a doubling bit count.  A sign is never accepted from
+  an uncertified float.
 
 Values at rational x are queried through levine_tristram; whole step
 functions (jump locus + interval values) through signature_function.
@@ -40,17 +39,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import (
     ExpressionError,
     HypothesisViolation,
-    PrecisionExhausted,
     UnsupportedKnotError,
 )
-from .knots import KnotExpr, SeifertMatrix, evaluate, alexander_of_matrix, _alexander_of_block
+from .knots import (KnotExpr, _alexander_of_block, _normalize_alexander,
+                    alexander_of_matrix, evaluate)
 from .polynomials import (
     _qdivmod,
     _qmul,
@@ -116,33 +115,29 @@ def _as_circle_fraction(x):
 
 
 # ---------------------------------------------------------------------------
-# rigorous double-precision pass (midpoint/radius interval algebra)
-#
-# omega = e^{2 pi i j/d} enters as integer fixed-point cos and sin with
-# counted error bounds, rounded out to doubles: this pass needs only
-# numpy and Python integers, and mpmath serves the fallback alone.
+# integer fixed point: an integer v at `bits` stands for v / 2^bits, and
+# every error bound counts units of 2^-bits.  The double pass encloses
+# omega at _BITS; the exact fallback refines at doubling bit counts.
 
 _EPS = 2.0 ** -53
 _INFLATE = 1.0 + 2.0 ** -40
 _ETA = 1e-290
 
-# omega is enclosed in fixed point: an integer v stands for v / 2^_BITS,
-# and every error bound below counts units of 2^-_BITS
 _BITS = 160
 _ONE = 1 << _BITS
 _E8 = 2981  # > e^8
 
 
-def _arctan_inv(x):
-    """(a, k): |a - _ONE atan(1/x)| < 3k + 2 for an integer x >= 5.
+def _arctan_inv(x, one):
+    """(a, k): |a - one atan(1/x)| < 3k + 2 for an integer x >= 5.
 
-    Each power _ONE / x^(2i+1) is floored and carries the previous
+    Each power one / x^(2i+1) is floored and carries the previous
     power's error divided by x^2, so it is low by less than 2, and its
     term, floored once more, by less than 3.  The loop stops at the
     first power that floors to 0, whose exact value is below 2, so the
     alternating tail from there on is below 2.
     """
-    power, x2 = _ONE // x, x * x
+    power, x2 = one // x, x * x
     total, k = 0, 0
     while power:
         term = power // (2 * k + 1)
@@ -152,15 +147,47 @@ def _arctan_inv(x):
     return total, k
 
 
-def _machin_pi():
-    """(v, err): |v - pi _ONE| < err, from pi = 16 atan(1/5) - 4 atan(1/239)."""
-    a5, k5 = _arctan_inv(5)
-    a239, k239 = _arctan_inv(239)
+def _machin_pi(bits):
+    """(v, err): |v - pi 2^bits| < err, from pi = 16 atan(1/5) - 4 atan(1/239)."""
+    one = 1 << bits
+    a5, k5 = _arctan_inv(5, one)
+    a239, k239 = _arctan_inv(239, one)
     return 16 * a5 - 4 * a239, 16 * (3 * k5 + 2) + 4 * (3 * k239 + 2)
 
 
-_PI, _PI_ERR = _machin_pi()
+_PI = _machin_pi(_BITS)
 
+
+def _cos_sin(j, d, bits, pi):
+    """(cos, sin, err) of 2 pi j/d at `bits`, with pi = _machin_pi(bits).
+
+    theta = 2 pi (j mod d)/d lies in [0, 8), and its fixed-point value
+    t is floored from pi's, so it is off by less than 2 pi_err + 1
+    units; cos and sin are 1-Lipschitz, so that error passes through
+    unchanged.  The Taylor terms term_k = term_{k-1} t / (k 2^bits) are
+    floored, each low by less than sum_i (t/2^bits)^i / i! < e^8 units.
+    The first term that floors to 0 (at k = K) is below e^8 units and
+    the tail from it on shrinks at least geometrically by 8/9, so the
+    sums of cos and sin are each off by less than err = (K + 9) e^8 +
+    2 pi_err + 1 units in all.
+    """
+    one = 1 << bits
+    pi_v, pi_err = pi
+    t = 2 * pi_v * (j % d) // d
+    cos_v = sin_v = 0
+    term, k = one, 0
+    while term:
+        if k % 2:
+            sin_v += -term if k % 4 == 3 else term
+        else:
+            cos_v += -term if k % 4 == 2 else term
+        k += 1
+        term = term * t // (k * one)
+    return cos_v, sin_v, (k + 9) * _E8 + 2 * pi_err + 1
+
+
+# ---------------------------------------------------------------------------
+# rigorous double-precision pass (midpoint/radius interval algebra)
 
 def _fixed_to_midrad(v, err):
     """(mid, rad) doubles whose disc holds [v - err, v + err] / _ONE."""
@@ -172,28 +199,8 @@ def _fixed_to_midrad(v, err):
 
 @lru_cache(maxsize=4096)
 def _omega_enclosure(j, d):
-    """(cos, sin) of 2 pi j/d as (mid, rad) doubles, rigorously.
-
-    theta = 2 pi (j mod d)/d lies in [0, 8), and its fixed-point value
-    t is floored from _PI, so it is off by less than 2 _PI_ERR + 1 units;
-    cos and sin are 1-Lipschitz, so that error passes through unchanged.
-    The Taylor terms term_k = term_{k-1} t / (k _ONE) are floored, each
-    low by less than sum_i (t/_ONE)^i / i! < e^8 units.  The first term that
-    floors to 0 (at k = K) is below e^8 units and the tail from it on
-    shrinks at least geometrically by 8/9, so the sums of cos and sin
-    are each off by less than (K + 9) e^8 units in all.
-    """
-    t = 2 * _PI * (j % d) // d
-    cos_v = sin_v = 0
-    term, k = _ONE, 0
-    while term:
-        if k % 2:
-            sin_v += -term if k % 4 == 3 else term
-        else:
-            cos_v += -term if k % 4 == 2 else term
-        k += 1
-        term = term * t // (k * _ONE)
-    err = (k + 9) * _E8 + 2 * _PI_ERR + 1
+    """(cos, sin) of 2 pi j/d as (mid, rad) doubles, rigorously."""
+    cos_v, sin_v, err = _cos_sin(j, d, _BITS, _PI)
     cm, cr = _fixed_to_midrad(cos_v, err)
     sm, sr = _fixed_to_midrad(sin_v, err)
     return cm, cr, sm, sr
@@ -228,16 +235,8 @@ def _mr_matmul(am, ar, bm, br):
     return cm, cr
 
 
-def _gershgorin_discs(bm, br):
-    centers = np.real(np.diagonal(bm))
-    mag = np.abs(bm) + br
-    np.fill_diagonal(mag, 0.0)
-    radii = (np.diagonal(br) + mag.sum(axis=1)) * _INFLATE + _ETA
-    return centers, radii
-
-
-def _classify_intervals(lo, hi, nullity):
-    """Signed disc count, or None when the discs are inconclusive.
+def _classify_discs(bm, br, nullity):
+    """Signed Gershgorin disc count of B, or None when inconclusive.
 
     Positive and negative discs can never merge (they live on opposite
     sides of 0), so each connected component of the disc union is
@@ -245,6 +244,12 @@ def _classify_intervals(lo, hi, nullity):
     `nullity` zero-straddling discs, all disjoint from the signed
     ones, pins every eigenvalue's sign.
     """
+    centers = np.real(np.diagonal(bm))
+    mag = np.abs(bm) + br
+    np.fill_diagonal(mag, 0.0)
+    radii = (np.diagonal(br) + mag.sum(axis=1)) * _INFLATE + _ETA
+    lo = (centers - radii).tolist()
+    hi = (centers + radii).tolist()
     pos = [l > 0 for l in lo]
     neg = [h < 0 for h in hi]
     mixed = [not (p or q) for p, q in zip(pos, neg)]
@@ -260,12 +265,6 @@ def _classify_intervals(lo, hi, nullity):
     return sum(pos) - sum(neg)
 
 
-def _classify_discs(centers, radii, nullity):
-    lo = (centers - radii).tolist()
-    hi = (centers + radii).tolist()
-    return _classify_intervals(lo, hi, nullity)
-
-
 def _certify_double(block, j, d, nullity):
     am, ar = _hermitian_form(block, j, d)
     if not np.all(np.isfinite(am)):
@@ -273,89 +272,93 @@ def _certify_double(block, j, d, nullity):
     q = np.linalg.eigh(am)[1]
     bm, br = _mr_matmul(np.conj(q.T), np.zeros_like(ar), am, ar)
     bm, br = _mr_matmul(bm, br, q, np.zeros_like(ar))
-    centers, radii = _gershgorin_discs(bm, br)
-    return _classify_discs(centers, radii, nullity)
+    return _classify_discs(bm, br, nullity)
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision fallback (mpmath interval arithmetic), the only
-# user of mpmath
+# exact fallback, case 1: a nonsingular point moves along its arc
 
-def _certify_mp(block, j, d, nullity, prec):
-    import mpmath as mp  # loaded only when the double pass declines
+def _refinements():
+    """(bits, _machin_pi(bits)) at _BITS and at every doubling after it."""
+    bits, pi = _BITS, _PI
+    while True:
+        yield bits, pi
+        bits *= 2
+        pi = _machin_pi(bits)
 
-    n = len(block)
-    with mp.workprec(prec):
-        w = mp.e ** (2j * mp.pi * j / d)
-        a_float = mp.matrix(n)
-        for r in range(n):
-            for c in range(n):
-                a_float[r, c] = (1 - w) * block[r][c] + (1 - mp.conj(w)) * block[c][r]
-        try:
-            _, q = mp.eighe(a_float)
-        except RuntimeError:
-            # the QL iteration did not converge at this precision; the
-            # ladder retries higher up, and no sign is taken from it
-            return None
-    old = mp.iv.prec
-    try:
-        mp.iv.prec = prec
-        theta = 2 * mp.iv.pi * j / d
-        wc, ws = mp.iv.cos(theta), mp.iv.sin(theta)
-        one = mp.iv.mpf(1)
-        cw = mp.iv.mpc(one - wc, -ws)       # 1 - omega
-        cwb = mp.iv.mpc(one - wc, ws)       # 1 - conj(omega)
-        a = [
-            [cw * block[r][c] + cwb * block[c][r] for c in range(n)]
-            for r in range(n)
-        ]
-        qiv = [
-            [mp.iv.mpc(mp.iv.mpf(q[r, c].real), mp.iv.mpf(q[r, c].imag)) for c in range(n)]
-            for r in range(n)
-        ]
-        qconj = [
-            [mp.iv.mpc(z.real, -z.imag) for z in row] for row in qiv
-        ]
-        zero = mp.iv.mpc(0)
-        # B = Q* A Q
-        aq = [
-            [sum((a[r][k] * qiv[k][c] for k in range(n)), zero) for c in range(n)]
-            for r in range(n)
-        ]
-        b = [
-            [sum((qconj[k][r] * aq[k][c] for k in range(n)), zero) for c in range(n)]
-            for r in range(n)
-        ]
 
-        def mag_bound(z):
-            # interval upper bound for |z| via |Re z| + |Im z|; the
-            # endpoint extraction is exact, the addition outward
-            re = max(abs(mp.mpf(z.real.a)), abs(mp.mpf(z.real.b)))
-            im = max(abs(mp.mpf(z.imag.a)), abs(mp.mpf(z.imag.b)))
-            return mp.iv.mpf(re) + mp.iv.mpf(im)
+def _enclose_s(x, bits, pi):
+    """Fractions lo < 2 cos(2 pi x) < hi from _cos_sin at `bits`."""
+    c, _, err = _cos_sin(x.numerator, x.denominator, bits, pi)
+    return Fraction(c - err, 1 << (bits - 1)), Fraction(c + err, 1 << (bits - 1))
 
-        lo, hi = [], []
-        for i in range(n):
-            off = mp.iv.mpf(0)
-            for c in range(n):
-                if c != i:
-                    off += mag_bound(b[i][c])
-            lo.append(mp.mpf((b[i][i].real - off).a))
-            hi.append(mp.mpf((b[i][i].real + off).b))
-    finally:
-        mp.iv.prec = old
-    return _classify_intervals(lo, hi, nullity)
+
+def _root_free(g, lo, hi):
+    """True when g has no root in the closed interval [lo, hi]."""
+    return g(lo) != 0 and g(hi) != 0 and sturm_count(g, lo, hi) == 0
+
+
+def _arc_point(block, x):
+    """The simplest rational on x's arc between circle roots of Delta.
+
+    x must not be a root.  Folded into (0, 1/2], where s = 2 cos(2 pi x)
+    decreases, x's arc is a stretch of s free of roots of g, with
+    Delta(t) = t^m g(t + 1/t).  Once s(x)'s enclosure holds no root of
+    g, the Stern-Brocot walk from 1/2 toward x stops at the first node y
+    whose enclosure joins x's without a root of g in between; every
+    node before y lies off the arc, so y is its simplest point.
+    """
+    if x > HALF:
+        x = 1 - x
+    g = compact_circle_form(_normalize_alexander(_alexander_of_block(block)))
+    for bits, pi in _refinements():
+        lo, hi = _enclose_s(x, bits, pi)
+        if _root_free(g, lo, hi):
+            break
+    left, right, y = Fraction(0), Fraction(1), HALF
+    while y != x:
+        ly, hy = _enclose_s(y, bits, pi)
+        if _root_free(g, min(lo, ly), max(hi, hy)):
+            break
+        left, right = (left, y) if x < y else (y, right)
+        y = Fraction(left.numerator + right.numerator,
+                     left.denominator + right.denominator)
+    return y
 
 
 # ---------------------------------------------------------------------------
-# exact rank over Q[t]/Phi_d (for singular points)
+# exact fallback, case 2: congruence over Q[t]/Phi_d
 
-def _exact_nullity(block, j, d):
-    """dim ker A(omega): n minus the rank of V - conj(omega) V^T mod Phi_d.
+def _real_sign(c, j, d):
+    """Sign of sum_k c_k cos(2 pi jk/d), the residue c's value at omega.
 
-    Q(zeta_d) is Q[t]/Phi_d, so every entry is a Fraction tuple reduced
-    mod Phi_d, conj(omega) is t^(d - j) reduced, and Gaussian elimination
-    inverts each pivot by extended Euclid against the irreducible Phi_d.
+    That value must be real and nonzero; the sum is taken in fixed point
+    at doubling bit counts until its error bound clears 0.
+    """
+    den = lcm(*(x.denominator for x in c))
+    ints = [int(x * den) for x in c]
+    for bits, pi in _refinements():
+        total = bound = 0
+        for k, ck in enumerate(ints):
+            if ck:
+                cos_v, _, err = _cos_sin(j * k, d, bits, pi)
+                total += ck * cos_v
+                bound += abs(ck) * err
+        if abs(total) > bound:
+            return 1 if total > 0 else -1
+
+
+def _exact_inertia(block, j, d):
+    """(signature, nullity) of A(omega), omega = e^{2 pi i j/d}, d >= 2.
+
+    Q(omega) is Q[t]/Phi_d, as j/d is reduced; every entry is a Fraction
+    tuple reduced mod Phi_d, and conjugation is t -> t^(d - 1).  The
+    Hermitian matrix is diagonalized by congruence: pivot on a nonzero
+    diagonal entry through its Schur complement; when every diagonal
+    entry left is 0 but some a_ik is not, e_i += conj(a_ik) e_k makes
+    the diagonal entry 2 |a_ik|^2.  By Sylvester's law of inertia the
+    signature is the sum of the pivots' signs (_real_sign) and the
+    nullity is the size of the zero block that is left.
     """
     phi = tuple(Fraction(c) for c in cyclotomic(d).coeffs)
 
@@ -370,42 +373,49 @@ def _exact_nullity(block, j, d):
             r0, r1, s0, s1 = r1, r, s1, _qsub(s0, _qmul(q, s1))
         return tuple(c / r1[0] for c in s1)
 
-    conj = residue((Fraction(0),) * ((d - j) % d) + (Fraction(1),))
-    n = len(block)
-    m = [
-        [
-            _qsub((Fraction(block[r][c]),), tuple(block[c][r] * x for x in conj))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = inverse(m[rank][col])
-        for r in range(rank + 1, n):
-            if m[r][col]:
-                factor = residue(_qmul(m[r][col], inv))
-                for c in range(col, n):
-                    m[r][c] = _qsub(m[r][c], residue(_qmul(factor, m[rank][c])))
-        rank += 1
-    return n - rank
+    def times(a, b):
+        return residue(_qmul(a, b))
+
+    # a_rc = v_rc (1 - t) + v_cr (1 - conj t), with conj t = t^(d - 1)
+    u = residue((Fraction(1), Fraction(-1)))
+    u_bar = residue((Fraction(1),) + (Fraction(0),) * (d - 2) + (Fraction(-1),))
+    m = [[_qsub(tuple(v * c for c in u), tuple(-w * c for c in u_bar))
+          for v, w in zip(row, col)] for row, col in zip(block, zip(*block))]
+    live = list(range(len(block)))
+    sig = 0
+    while live:
+        i = next((i for i in live if m[i][i]), None)
+        if i is None:
+            pair = next(((i, k) for i in live for k in live if m[i][k]), None)
+            if pair is None:
+                break
+            i, k = pair
+            neg_lam = tuple(-c for c in m[k][i])  # -conj(a_ik)
+            neg_lam_bar = tuple(-c for c in m[i][k])
+            for r in live:
+                m[r][i] = _qsub(m[r][i], times(m[r][k], neg_lam))
+            for c in live:
+                m[i][c] = _qsub(m[i][c], times(neg_lam_bar, m[k][c]))
+        live.remove(i)
+        sig += _real_sign(m[i][i], j, d)
+        inv = inverse(m[i][i])
+        for r in live:
+            if m[r][i]:
+                f = times(m[r][i], inv)
+                for c in live:
+                    if m[i][c]:
+                        m[r][c] = _qsub(m[r][c], times(f, m[i][c]))
+    return sig, len(live)
 
 
 # ---------------------------------------------------------------------------
 # per-block certified signature
 
-_PRECISIONS = (113, 240, 480, 960, 1920, 3840)
-
-
 def _nullity(block, j, d):
-    """dim ker A(omega) at omega = e^{2 pi i j/d}.
+    """dim ker A(omega) at omega = e^{2 pi i j/d}, or None.
 
-    0 or 1 exactly when Phi_d's multiplicity in Delta is; a repeated
-    factor is decided by elimination over Q[t]/Phi_d (_exact_nullity).
+    0 or 1 exactly when Phi_d's multiplicity in Delta is; None for a
+    repeated factor, which _exact_inertia decides.
     """
     delta = _alexander_of_block(block)
     deg = delta.degree
@@ -414,29 +424,22 @@ def _nullity(block, j, d):
     if d > 2 * deg * deg or euler_phi(d) > deg:
         return 0
     mult, _ = factor_multiplicity(delta, cyclotomic(d))
-    if mult <= 1:
-        return mult
-    nullity = _exact_nullity(block, j, d)
-    assert 1 <= nullity <= mult
-    return nullity
+    return mult if mult <= 1 else None
 
 
 @lru_cache(maxsize=256)
 def _block_signature(block, x):
     j, d = x.numerator, x.denominator
     nullity = _nullity(block, j, d)
-    sig = _certify_double(block, j, d, nullity)
-    if sig is None:
-        for prec in _PRECISIONS:
-            sig = _certify_mp(block, j, d, nullity, prec)
-            if sig is not None:
-                break
-        else:
-            raise PrecisionExhausted(
-                f"could not certify eigenvalue signs at x = {x} "
-                f"(size {len(block)}, precision cap {_PRECISIONS[-1]} bits)"
-            )
-    return sig
+    if nullity is not None:
+        sig = _certify_double(block, j, d, nullity)
+        if sig is not None:
+            return sig
+        if nullity == 0:
+            y = _arc_point(block, x)
+            if y != x:
+                return _block_signature(block, y)
+    return _exact_inertia(block, j, d)[0]
 
 
 def signature_of_matrix(v, x):

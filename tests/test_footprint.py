@@ -2,11 +2,10 @@
 
 A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
-a process that never hashes a witness digest must not load OpenSSL, one
-whose double-precision signature pass certifies every sign must not load
-mpmath, a certify job must not load numpy.ma, the sweep must code only
-the candidate members it reads, and the digest must keep no text per
-candidate.
+a process that never hashes a witness digest must not load OpenSSL, no
+process may load mpmath, a certify job must not load numpy.ma, the
+sweep must code only the candidate members it reads, and the digest
+must keep no text per candidate.
 """
 
 import os
@@ -90,13 +89,18 @@ _NO_MPMATH = """
 import sys
 import knotcert.cli
 assert "mpmath" not in sys.modules, "import knotcert.cli loaded mpmath"
-from knotcert import cli
+from knotcert import cli, signatures
 assert cli.run(["sig", "torus(2,5)", "--at", "1/3"]) == 0
 assert "mpmath" not in sys.modules, "the double-precision pass loaded mpmath"
+# every point through the exact fallback: a near-root point and a root
+signatures._certify_double = lambda *args: None
+assert cli.run(["sig", "torus(2,3)", "--at", "1000000000000006/6000000000000000"]) == 0
+assert cli.run(["sig", "torus(2,3)", "--at", "1/6"]) == 0
+assert "mpmath" not in sys.modules, "the exact fallback loaded mpmath"
 """
 
 
-def test_mpmath_is_not_loaded_without_a_precision_fallback():
+def test_mpmath_is_never_loaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import knotcert as kc
 from knotcert import cli, signatures
 from knotcert.knots import alexander_of_matrix
-from knotcert.polynomials import cyclotomic, factor_multiplicity
+from knotcert.polynomials import _qdivmod, cyclotomic, factor_multiplicity
 from strategies import dense_conjugate, knot_exprs, torus_exprs, unit_fractions
 from oracles import float_signature, sympy_cyclotomic_nullity
 from test_acceptance import _SIGNATURE_CORPUS
@@ -82,17 +82,16 @@ def test_signature_of_matrix_agrees_with_expression_route():
             assert kc.signature_of_matrix(v, x) == kc.levine_tristram(e, x)
 
 
-def test_mpmath_fallback_reproduces_acceptance_sweeps(monkeypatch):
-    # the criterion-3 points (every tenth: the whole sweep takes about 35 s
-    # through mpmath) and the criterion-4 step functions, first on the
-    # double-precision path, then with that path declining every block
+def test_exact_fallback_reproduces_acceptance_sweeps(monkeypatch):
+    # the 1,000 criterion-3 points and the criterion-4 step functions,
+    # first on the double-precision path, then with that path declining
+    # every block, so every value comes from the exact fallback
     rng = random.Random(20260825)
     points = []
     for s in _SIGNATURE_CORPUS:
         for _ in range(50):
             q = rng.randint(2, 60)
             points.append((kc.parse_knot(s), Fraction(rng.randint(1, q - 1), q)))
-    points = points[::10]
     mirrors = [kc.mirror(kc.torus(2, n)) for n in (3, 5, 7, 9)]
 
     def sweep():
@@ -100,60 +99,121 @@ def test_mpmath_fallback_reproduces_acceptance_sweeps(monkeypatch):
                 [kc.signature_function(e, 200) for e in mirrors])
 
     want = sweep()
-    mp_calls = []
-    certify_mp = signatures._certify_mp
+    calls = {"arc": 0, "inertia": []}
+    arc_point, exact_inertia = signatures._arc_point, signatures._exact_inertia
 
-    def counted_mp(*args):
-        mp_calls.append(args)
-        return certify_mp(*args)
+    def counted_arc(*args):
+        calls["arc"] += 1
+        return arc_point(*args)
+
+    def counted_inertia(*args):
+        out = exact_inertia(*args)
+        calls["inertia"].append(out)
+        return out
 
     monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
-    monkeypatch.setattr(signatures, "_certify_mp", counted_mp)
+    monkeypatch.setattr(signatures, "_arc_point", counted_arc)
+    monkeypatch.setattr(signatures, "_exact_inertia", counted_inertia)
     signatures._block_signature.cache_clear()
     try:
         got = sweep()
     finally:
         signatures._block_signature.cache_clear()
     assert got == want
-    # the fallback ran, singular points (nonzero nullity) included
-    assert any(nullity for _, _, _, nullity, _ in mp_calls)
+    # both cases ran: arc shifts, and congruence at singular points
+    assert calls["arc"]
+    assert any(nullity for _, nullity in calls["inertia"])
 
 
-def test_precision_exhausted_maps_to_exit_3(monkeypatch, capsys):
-    # the double path declines every block and the mpmath ladder stops at
-    # 4 bits, too coarse to keep the trefoil's eigenvalues off 0
-    monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
-    monkeypatch.setattr(signatures, "_PRECISIONS", (2, 4))
-    signatures._block_signature.cache_clear()
-    try:
-        with pytest.raises(kc.PrecisionExhausted, match="precision cap 4 bits"):
-            signatures.signature_of_matrix(
-                kc.evaluate(kc.torus(2, 3)), Fraction(1, 3)
-            )
-        assert cli.run(["sig", "torus(2,3)", "--at", "1/3"]) == 3
-    finally:
-        signatures._block_signature.cache_clear()
-    assert "error:" in capsys.readouterr().err
+# ---------------------------------------------------------------------------
+# the exact fallback near the roots of Delta, where the double pass declines
+
+def _torus_closed_form(n, x):
+    """sigma_x(T(2, n)) = -2 #{odd m : m/(2n) < x} for x in (0, 1/2]."""
+    return -2 * sum(1 for m in range(1, n + 1, 2) if Fraction(m, 2 * n) < x)
 
 
-def test_mpmath_no_convergence_climbs_the_ladder(monkeypatch, capsys):
-    # at 8 bits mpmath's eigensolver gives up on the torus(2,5) block at
-    # x = 1/3 with a RuntimeError; that rung must decline, not crash
-    monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
-    v = kc.evaluate(kc.torus(2, 5))
-    x = Fraction(1, 3)
-    signatures._block_signature.cache_clear()
-    try:
-        monkeypatch.setattr(signatures, "_PRECISIONS", (8, 113))
-        assert signatures.signature_of_matrix(v, x) == -4
-        signatures._block_signature.cache_clear()
-        monkeypatch.setattr(signatures, "_PRECISIONS", (8,))
-        with pytest.raises(kc.PrecisionExhausted, match="precision cap 8 bits"):
-            signatures.signature_of_matrix(v, x)
-        assert cli.run(["sig", "torus(2,5)", "--at", "1/3"]) == 3
-    finally:
-        signatures._block_signature.cache_clear()
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("n, root, k, below, above", [
+    (3, Fraction(1, 6), 15, 0, -2),
+    (13, Fraction(1, 26), 14, 0, -2),
+    (13, Fraction(5, 26), 40, -4, -6),
+])
+def test_near_root_points_match_the_torus_closed_form(monkeypatch, n, root, k,
+                                                      below, above):
+    arc_calls = []
+    arc_point = signatures._arc_point
+
+    def counted(*args):
+        arc_calls.append(args)
+        return arc_point(*args)
+
+    monkeypatch.setattr(signatures, "_arc_point", counted)
+    e = kc.torus(2, n)
+    eps = Fraction(1, 10 ** k)
+    for x, want in ((root - eps, below), (root + eps, above)):
+        assert kc.levine_tristram(e, x) == want == _torus_closed_form(n, x), x
+    # the double pass declined, and the point moved along its arc
+    assert len(arc_calls) == 2
+
+
+def test_irrational_root_is_crossed_through_the_arc_shift(monkeypatch):
+    # Delta = 2t^2 - 3t + 2 has its circle roots at cos(2 pi x) = 3/4
+    e = kc.raw(((1, 1), (0, 2)))
+    rows = kc.evaluate(e).rows
+    with mp.workdps(60):
+        root = mp.acos(mp.mpf(3) / 4) / (2 * mp.pi)
+        x0 = Fraction(int(mp.floor(root * 10 ** 40)), 10 ** 40)
+    arc_calls = []
+    arc_point = signatures._arc_point
+
+    def counted(*args):
+        arc_calls.append(args)
+        return arc_point(*args)
+
+    monkeypatch.setattr(signatures, "_arc_point", counted)
+    got = []
+    for side in (1, -1):
+        near, far = x0 + side * Fraction(1, 10 ** 25), x0 + side * Fraction(1, 10 ** 4)
+        got.append(kc.levine_tristram(e, near))
+        assert got[-1] == float_signature(rows, far)
+    assert got == [2, 0]
+    assert len(arc_calls) == 2
+
+
+def test_arc_point_is_the_simplest_rational_on_the_arc():
+    (block,) = kc.evaluate(kc.torus(2, 3)).diagonal_blocks()
+    eps = Fraction(1, 10 ** 15)
+    assert signatures._arc_point(block, Fraction(1, 6) + eps) == Fraction(1, 2)
+    assert signatures._arc_point(block, Fraction(1, 6) - eps) == Fraction(1, 7)
+    # a point that is already the simplest on its arc stays put
+    assert signatures._arc_point(block, Fraction(1, 7)) == Fraction(1, 7)
+
+
+def test_near_root_cli_point_prints_its_signature(capsys):
+    assert cli.run(["sig", "torus(2,3)", "--at", "1000000000000006/6000000000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "-2"
+
+
+def test_real_sign_refines_past_the_double_pass_bits(monkeypatch):
+    # (t + t^6) - r at t = e^{2 pi i/7} is 2 cos(2 pi/7) - r, below 2^-200
+    with mp.workprec(400):
+        c = 2 * mp.cos(2 * mp.pi / 7)
+        scaled = int(mp.floor(c * 2 ** 201))
+        bits_seen = []
+        machin_pi = signatures._machin_pi
+
+        def recorded(bits):
+            bits_seen.append(bits)
+            return machin_pi(bits)
+
+        monkeypatch.setattr(signatures, "_machin_pi", recorded)
+        phi7 = tuple(Fraction(x) for x in cyclotomic(7).coeffs)
+        for r in (Fraction(scaled, 2 ** 201), Fraction(scaled + 1, 2 ** 201)):
+            poly = (-r, Fraction(1)) + (Fraction(0),) * 4 + (Fraction(1),)
+            residue = _qdivmod(poly, phi7)[1]
+            want = 1 if c - mp.mpf(r.numerator) / r.denominator > 0 else -1
+            assert signatures._real_sign(residue, 1, 7) == want
+    assert max(bits_seen) > 160
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +260,7 @@ def test_nullity_shortcut_matches_field_elimination(n):
     for x in locus + [1 - x for x in locus]:
         j, d = x.numerator, x.denominator
         assert signatures._nullity(block, j, d) == 1, x
-        assert signatures._exact_nullity(block, j, d) == 1, x
+        assert signatures._exact_inertia(block, j, d)[1] == 1, x
     # a regular point and a denominator past 2 deg^2 have nullity 0
     assert signatures._nullity(block, 1, 31) == 0
     assert signatures._nullity(block, 1, 2 * (n - 1) ** 2 + 1) == 0
@@ -215,17 +275,18 @@ def test_repeated_cyclotomic_factor_takes_the_field_path(monkeypatch):
     mult, _ = factor_multiplicity(alexander_of_matrix(v), cyclotomic(6))
     assert mult == 2
 
-    exact = signatures._exact_nullity
+    exact = signatures._exact_inertia
     calls = []
 
     def counted(block, j, d):
         calls.append((j, d))
         return exact(block, j, d)
 
-    monkeypatch.setattr(signatures, "_exact_nullity", counted)
+    monkeypatch.setattr(signatures, "_exact_inertia", counted)
     signatures._block_signature.cache_clear()
     try:
-        assert signatures._nullity(block, 1, 6) == 2
+        assert signatures._nullity(block, 1, 6) is None
+        assert signatures._exact_inertia(block, 1, 6)[1] == 2
         assert kc.levine_tristram(mixed, Fraction(1, 6)) == -4
         assert kc.levine_tristram(whole, Fraction(1, 6)) == -4
         assert kc.signature_function(mixed, 18) == kc.signature_function(whole, 18)
@@ -247,7 +308,8 @@ def test_repeated_factor_with_nullity_below_its_multiplicity():
     (block,) = v.diagonal_blocks()
     mult, _ = factor_multiplicity(alexander_of_matrix(v), cyclotomic(6))
     assert mult == 2
-    assert signatures._nullity(block, 1, 6) == 1
+    assert signatures._nullity(block, 1, 6) is None
+    assert signatures._exact_inertia(block, 1, 6)[1] == 1
     x = Fraction(1, 6)
     assert kc.levine_tristram(_PHI6_SQUARED_NULLITY_1, x) == -1
     assert float_signature(v.rows, x) == -1
@@ -259,7 +321,7 @@ def test_exact_nullity_matches_sympy_at_every_root(n):
     locus = signatures._circle_root_locus(alexander_of_matrix(v))
     for x in locus + [1 - x for x in locus]:
         j, d = x.numerator, x.denominator
-        assert signatures._exact_nullity(block, j, d) == (
+        assert signatures._exact_inertia(block, j, d)[1] == (
             sympy_cyclotomic_nullity(block, j, d)
         ), x
 
@@ -275,7 +337,7 @@ def test_exact_nullity_matches_sympy_on_repeated_factors(e, seed, x, nullity):
     else:
         _, block = _one_dense_block(e, seed)
     j, d = x.numerator, x.denominator
-    assert signatures._exact_nullity(block, j, d) == nullity
+    assert signatures._exact_inertia(block, j, d)[1] == nullity
     assert sympy_cyclotomic_nullity(block, j, d) == nullity
 
 
