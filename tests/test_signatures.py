@@ -82,7 +82,21 @@ def test_signature_of_matrix_agrees_with_expression_route():
             assert kc.signature_of_matrix(v, x) == kc.levine_tristram(e, x)
 
 
-def test_exact_fallback_reproduces_acceptance_sweeps(monkeypatch):
+@pytest.fixture
+def arc_calls(monkeypatch):
+    """The arguments of every _arc_point call the test makes."""
+    calls = []
+    arc_point = signatures._arc_point
+
+    def counted(*args):
+        calls.append(args)
+        return arc_point(*args)
+
+    monkeypatch.setattr(signatures, "_arc_point", counted)
+    return calls
+
+
+def test_exact_fallback_reproduces_acceptance_sweeps(monkeypatch, arc_calls):
     # the 1,000 criterion-3 points and the criterion-4 step functions,
     # first on the double-precision path, then with that path declining
     # every block, so every value comes from the exact fallback
@@ -99,20 +113,14 @@ def test_exact_fallback_reproduces_acceptance_sweeps(monkeypatch):
                 [kc.signature_function(e, 200) for e in mirrors])
 
     want = sweep()
-    calls = {"arc": 0, "inertia": []}
-    arc_point, exact_inertia = signatures._arc_point, signatures._exact_inertia
-
-    def counted_arc(*args):
-        calls["arc"] += 1
-        return arc_point(*args)
+    inertias = []
+    exact_inertia = signatures._exact_inertia
 
     def counted_inertia(*args):
-        out = exact_inertia(*args)
-        calls["inertia"].append(out)
-        return out
+        inertias.append(exact_inertia(*args))
+        return inertias[-1]
 
     monkeypatch.setattr(signatures, "_certify_double", lambda *args: None)
-    monkeypatch.setattr(signatures, "_arc_point", counted_arc)
     monkeypatch.setattr(signatures, "_exact_inertia", counted_inertia)
     signatures._block_signature.cache_clear()
     try:
@@ -121,8 +129,8 @@ def test_exact_fallback_reproduces_acceptance_sweeps(monkeypatch):
         signatures._block_signature.cache_clear()
     assert got == want
     # both cases ran: arc shifts, and congruence at singular points
-    assert calls["arc"]
-    assert any(nullity for _, nullity in calls["inertia"])
+    assert arc_calls
+    assert any(nullity for _, nullity in inertias)
 
 
 # ---------------------------------------------------------------------------
@@ -137,40 +145,25 @@ def _torus_closed_form(n, x):
     (3, Fraction(1, 6), 15, 0, -2),
     (13, Fraction(1, 26), 14, 0, -2),
     (13, Fraction(5, 26), 40, -4, -6),
-])
-def test_near_root_points_match_the_torus_closed_form(monkeypatch, n, root, k,
+], ids=["T(2,3)@1/6", "T(2,13)@1/26", "T(2,13)@5/26"])
+def test_near_root_points_match_the_torus_closed_form(arc_calls, n, root, k,
                                                       below, above):
-    arc_calls = []
-    arc_point = signatures._arc_point
-
-    def counted(*args):
-        arc_calls.append(args)
-        return arc_point(*args)
-
-    monkeypatch.setattr(signatures, "_arc_point", counted)
     e = kc.torus(2, n)
-    eps = Fraction(1, 10 ** k)
-    for x, want in ((root - eps, below), (root + eps, above)):
-        assert kc.levine_tristram(e, x) == want == _torus_closed_form(n, x), x
-    # the double pass declined, and the point moved along its arc
-    assert len(arc_calls) == 2
+    for eps in (Fraction(1, 10 ** k), Fraction(1, 10 ** 60)):
+        for x, want in ((root - eps, below), (root + eps, above)):
+            assert kc.levine_tristram(e, x) == want == _torus_closed_form(n, x), x
+    # at 10^-60 the double pass surely declines, and the point moves
+    # along its arc; nearer 10^-14 it may decline or not
+    assert len(arc_calls) >= 2
 
 
-def test_irrational_root_is_crossed_through_the_arc_shift(monkeypatch):
+def test_irrational_root_is_crossed_through_the_arc_shift(arc_calls):
     # Delta = 2t^2 - 3t + 2 has its circle roots at cos(2 pi x) = 3/4
     e = kc.raw(((1, 1), (0, 2)))
     rows = kc.evaluate(e).rows
     with mp.workdps(60):
         root = mp.acos(mp.mpf(3) / 4) / (2 * mp.pi)
         x0 = Fraction(int(mp.floor(root * 10 ** 40)), 10 ** 40)
-    arc_calls = []
-    arc_point = signatures._arc_point
-
-    def counted(*args):
-        arc_calls.append(args)
-        return arc_point(*args)
-
-    monkeypatch.setattr(signatures, "_arc_point", counted)
     got = []
     for side in (1, -1):
         near, far = x0 + side * Fraction(1, 10 ** 25), x0 + side * Fraction(1, 10 ** 4)
