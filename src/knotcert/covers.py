@@ -211,14 +211,8 @@ def _unit_coords(group):
     return [tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]
 
 
-@lru_cache(maxsize=64)
-def cover_presentation(v):
-    """Full double-branched-cover package for a Seifert matrix (cached).
-
-    SeifertMatrix equality and hashing are those of its rows, so the
-    cache is keyed on v.rows.
-    """
-    sym = v.symmetrized()
+def _presentation(sym):
+    """CoverPresentation of the group presented by a symmetric matrix."""
     n = len(sym)
     if n == 0:
         return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), ())
@@ -236,6 +230,16 @@ def cover_presentation(v):
         tuple(uinv_rows[r][i] for r in range(n)) for i in positions
     )
     return CoverPresentation(group, sym, u_rows, positions, diag, lifts)
+
+
+@lru_cache(maxsize=64)
+def cover_presentation(v):
+    """Full double-branched-cover package for a Seifert matrix (cached).
+
+    SeifertMatrix equality and hashing are those of its rows, so the
+    cache is keyed on v.rows.
+    """
+    return _presentation(v.symmetrized())
 
 
 def homology_from_seifert(v):
@@ -306,16 +310,8 @@ def whitehead_cover(a, b):
             "P(a,0) and P(0,b) are excluded: the pattern is trivial or its "
             "cover homology is trivial, so the machinery has nothing to act on"
         )
-    rel = ((2 * a, 1), (1, 2 * b))
-    diag, u_rows, uinv_rows = smith_normal_form(rel)
-    n = abs(4 * a * b - 1)
-    assert tuple(diag) == (1, n)
-    group = FiniteAbelianGroup((n,))
-    # class of m1 = e1 in the cokernel coordinates
-    m1 = (u_rows[1][0] % n,)
-    assert gcd(m1[0], n) == 1, "m1 generates the cover homology"
-    # linking form: -(rel)^{-1} mod 1 restricted to the generator
-    lift = (uinv_rows[0][1], uinv_rows[1][1])
-    (inv_col,) = _fraction_inverse_image(rel, [lift])
-    lam = (-sum(Fraction(x) * y for x, y in zip(lift, inv_col))) % 1
-    return PatternCover(group, m1, m1, 0, ((lam,),))
+    pres = _presentation(((2 * a, 1), (1, 2 * b)))
+    assert pres.group.factors == (abs(4 * a * b - 1),)
+    m1 = pres.coords((1, 0))  # the class of m1 = e1
+    assert pres.group.generates(m1), "m1 generates the cover homology"
+    return PatternCover(pres.group, m1, m1, 0, pres.linking_matrix)

@@ -22,17 +22,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ExpressionError
-from .polynomials import IntPoly, det_poly
-from .snf import is_unimodular
+from .polynomials import IntPoly, det_int, det_poly
 
 
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = +1.
 
-    The difference V - V^T is skew, so unimodularity is equivalent to
-    det(V - V^T) = +1 exactly; it is checked on construction, except for
-    the matrices mirror and block_diagonal derive from checked ones.
+    The difference V - V^T is skew, so its determinant is a square and
+    unimodularity is equivalent to det(V - V^T) = +1 exactly; it is
+    checked on construction, except for the matrices mirror and
+    block_diagonal derive from checked ones.
     """
 
     rows: tuple
@@ -48,7 +48,7 @@ class SeifertMatrix:
         diff = [
             [rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)
         ]
-        if not is_unimodular(diff):
+        if det_int(diff) != 1:
             raise ExpressionError(
                 "not a Seifert matrix: det(V - V^T) != 1"
             )

@@ -14,10 +14,65 @@ from functools import lru_cache
 
 
 def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+# ---------------------------------------------------------------------------
+# coefficient-tuple kernels: the one polynomial arithmetic, on int or
+# Fraction coefficients (IntPoly wraps them)
+
+def _qsub(a, b):
+    """a - b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
+
+
+def _qmul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _qeval(cs, x):
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _qdivmod(a, b):
+    """(quotient, remainder) of a by b over Q.
+
+    A divisor with leading coefficient 1 keeps integer coefficients
+    integers; any other divisor divides through Fraction.
+    """
+    a, b = _trim(a), _trim(b)
+    assert b, "division by zero polynomial"
+    dq = len(a) - len(b)
+    if dq < 0:
+        return (), a
+    top = len(b) - 1
+    inv_lead = None if b[-1] == 1 else 1 / Fraction(b[-1])
+    body = b[:top]
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + top] if inv_lead is None else rem[k + top] * inv_lead
+        quo[k] = c
+        if c:
+            for j, bj in enumerate(body):
+                rem[k + j] -= c * bj
+    return _trim(quo), _trim(rem[:top])
 
 
 @dataclass(frozen=True)
@@ -42,41 +97,23 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(_qsub(self.coeffs, tuple(-c for c in other.coeffs)))
 
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return IntPoly(_qsub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(other * c for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
+        b = (other,) if isinstance(other, int) else other.coeffs
+        return IntPoly(_qmul(self.coeffs, b))
 
     __rmul__ = __mul__
 
     def __call__(self, x):
         """Evaluate by Horner; works for int, Fraction and complex x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _qeval(self.coeffs, x)
 
     def shift_down(self, e):
         """Divide by t**e; the dropped coefficients must vanish."""
@@ -86,32 +123,15 @@ class IntPoly:
     def monic_divmod(self, other):
         """Divide by a monic integer polynomial, staying in Z[t]."""
         assert other.coeffs and other.coeffs[-1] == 1, "divisor must be monic"
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return IntPoly(), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            quo[k] = c
-            if c:
-                for j, oj in enumerate(other.coeffs):
-                    rem[k + j] -= c * oj
-        return IntPoly(quo), IntPoly(rem)
+        q, r = _qdivmod(self.coeffs, other.coeffs)
+        return IntPoly(q), IntPoly(r)
 
     def exact_div(self, other):
-        """Exact division in Z[t]; raises if the division is not exact."""
-        q, r = _qdivmod(
-            tuple(Fraction(c) for c in self.coeffs),
-            tuple(Fraction(c) for c in other.coeffs),
-        )
-        if any(r_i != 0 for r_i in r):
+        """Exact division in Z[t]; raises ArithmeticError if it is not exact."""
+        q, r = _qdivmod(self.coeffs, other.coeffs)
+        if r or any(c.denominator != 1 for c in q):
             raise ArithmeticError("inexact polynomial division")
-        out = []
-        for c in q:
-            assert c.denominator == 1, "quotient left Z[t]"
-            out.append(int(c))
-        return IntPoly(out)
+        return IntPoly(tuple(int(c) for c in q))
 
     def is_palindromic(self):
         return self.coeffs == tuple(reversed(self.coeffs))
@@ -140,12 +160,10 @@ ONE = IntPoly((1,))
 T = IntPoly((0, 1))
 
 
-@lru_cache(maxsize=256)
 def prime_powers(n):
     """Factorization of n as ((p, k), ...), primes increasing; () for n < 2.
 
-    n is a prime power exactly when the result has one entry.  Cached:
-    subgroup enumeration asks about the same modulus for every candidate.
+    n is a prime power exactly when the result has one entry.
     """
     out = []
     p = 2
@@ -183,20 +201,16 @@ def cyclotomic(d):
     return num
 
 
-def divides(p, q):
-    """True when p | q in Z[t]; p must be monic (cyclotomics are)."""
-    if q.is_zero():
-        return True
-    _, r = q.monic_divmod(p)
-    return r.is_zero()
-
-
 def factor_multiplicity(p, f):
-    """Largest k with f**k | p, plus the cofactor. f monic."""
+    """Largest k with f**k | p, plus the cofactor. f monic, not constant."""
+    assert f.degree > 0, "a constant divides every polynomial"
     k = 0
-    while not p.is_zero() and divides(f, p):
-        p, _ = p.monic_divmod(f)
-        k += 1
+    # the zero polynomial divides by f with remainder 0 forever
+    while not p.is_zero():
+        q, r = p.monic_divmod(f)
+        if r:
+            break
+        p, k = q, k + 1
     return k, p
 
 
@@ -270,50 +284,7 @@ def det_poly(rows):
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (Sturm chains, exact inertia mod Phi_d)
-
-def _qdivmod(a, b):
-    a, b = _trim(a), _trim(b)
-    assert b, "division by zero polynomial"
-    rem = list(a)
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return (), tuple(rem)
-    quo = [Fraction(0)] * (dq + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    for k in range(dq, -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead
-        quo[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return _trim(quo), _trim(rem)
-
-
-def _qmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _qsub(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (Fraction(0),) * (n - len(a))
-    b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _trim(tuple(x - y for x, y in zip(a, b)))
-
-
-def _qeval(cs, x):
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
+# real-root counting
 
 def _qderiv(cs):
     return _trim(tuple(i * c for i, c in enumerate(cs) if i))
@@ -330,7 +301,7 @@ def sturm_count(p, a, b):
     Both endpoints must be non-roots (asserted).  p is an IntPoly,
     endpoints are Fractions; the chain runs in exact rationals.
     """
-    cs = _trim(tuple(Fraction(c) for c in p.coeffs))
+    cs = p.coeffs
     assert cs, "zero polynomial has no isolated roots"
     assert _qeval(cs, a) != 0 and _qeval(cs, b) != 0
     # square-free part via gcd with the derivative

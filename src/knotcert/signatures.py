@@ -351,34 +351,35 @@ def _real_sign(c, j, d):
 def _exact_inertia(block, j, d):
     """(signature, nullity) of A(omega), omega = e^{2 pi i j/d}, d >= 2.
 
-    Q(omega) is Q[t]/Phi_d, as j/d is reduced; every entry is a Fraction
-    tuple reduced mod Phi_d, and conjugation is t -> t^(d - 1).  The
-    Hermitian matrix is diagonalized by congruence: pivot on a nonzero
+    Q(omega) is Q[t]/Phi_d, as j/d is reduced; every entry is an int or
+    Fraction tuple reduced mod Phi_d, and conjugation is t -> t^(d - 1).
+    The Hermitian matrix is diagonalized by congruence: pivot on a nonzero
     diagonal entry through its Schur complement; when every diagonal
     entry left is 0 but some a_ik is not, e_i += conj(a_ik) e_k makes
     the diagonal entry 2 |a_ik|^2.  By Sylvester's law of inertia the
     signature is the sum of the pivots' signs (_real_sign) and the
     nullity is the size of the zero block that is left.
     """
-    phi = tuple(Fraction(c) for c in cyclotomic(d).coeffs)
+    phi = cyclotomic(d).coeffs
 
     def residue(a):
         return _qdivmod(a, phi)[1]
 
     def inverse(a):
         # s1 a = r1 mod Phi_d throughout; r1 ends a nonzero constant
-        r0, r1, s0, s1 = phi, a, (), (Fraction(1),)
+        r0, r1, s0, s1 = phi, a, (), (1,)
         while len(r1) > 1:
             q, r = _qdivmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _qsub(s0, _qmul(q, s1))
-        return tuple(c / r1[0] for c in s1)
+        inv = 1 / Fraction(r1[0])
+        return tuple(c * inv for c in s1)
 
     def times(a, b):
         return residue(_qmul(a, b))
 
     # a_rc = v_rc (1 - t) + v_cr (1 - conj t), with conj t = t^(d - 1)
-    u = residue((Fraction(1), Fraction(-1)))
-    u_bar = residue((Fraction(1),) + (Fraction(0),) * (d - 2) + (Fraction(-1),))
+    u = residue((1, -1))
+    u_bar = residue((1,) + (0,) * (d - 2) + (-1,))
     m = [[_qsub(tuple(v * c for c in u), tuple(-w * c for c in u_bar))
           for v, w in zip(row, col)] for row, col in zip(block, zip(*block))]
     live = list(range(len(block)))

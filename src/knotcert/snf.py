@@ -186,13 +186,3 @@ def _apply_col_pair(a, i, j, m00, m10, m01, m11):
         row[i] = m00 * ci + m10 * cj
         row[j] = m01 * ci + m11 * cj
 
-
-def is_unimodular(rows):
-    """True when the square integer matrix has determinant +-1."""
-    n = len(rows)
-    if n == 0:
-        return True
-    if len(rows[0]) != n:
-        return False
-    diag, _, _ = smith_normal_form(rows)
-    return len(diag) == n and all(d == 1 for d in diag)

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 
 from knotcert.polynomials import (
     ONE,
@@ -14,7 +15,6 @@ from knotcert.polynomials import (
     cyclotomic,
     det_int,
     det_poly,
-    divides,
     euler_phi,
     factor_multiplicity,
     orders_with_phi_at_most,
@@ -31,6 +31,14 @@ def to_sympy(p):
 
 small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(
     lambda cs: IntPoly(tuple(cs))
+)
+# nonzero, with a leading coefficient other than 1
+non_monic_polys = st.tuples(
+    st.lists(st.integers(-5, 5), max_size=4),
+    st.integers(-6, 6).filter(lambda c: c not in (0, 1)),
+).map(lambda t: IntPoly(tuple(t[0]) + (t[1],)))
+monic_polys = st.lists(st.integers(-5, 5), max_size=4).map(
+    lambda cs: IntPoly(tuple(cs) + (1,))
 )
 
 
@@ -85,23 +93,49 @@ def test_poly_arithmetic_commutes_with_evaluation(p, q):
 def test_divides_and_multiplicity_on_built_products(p, d):
     f = cyclotomic(d)
     q = f * f * p
-    assert divides(f, q)
+    assert q.monic_divmod(f)[1].is_zero()
     if not p.is_zero():
         k, cofactor = factor_multiplicity(q, f)
         assert k >= 2
-        assert not divides(f, cofactor)
+        assert not cofactor.monic_divmod(f)[1].is_zero()
         rebuilt = cofactor
         for _ in range(k):
             rebuilt = rebuilt * f
         assert rebuilt == q
 
 
-def test_monic_divmod_round_trip():
-    p = IntPoly((3, -1, 0, 2, 5))
-    f = cyclotomic(6)
+@given(small_polys, monic_polys)
+@example(IntPoly((3, -1, 0, 2, 5)), cyclotomic(6))
+def test_monic_divmod_round_trip(p, f):
     quo, rem = p.monic_divmod(f)
     assert quo * f + rem == p
     assert rem.degree < f.degree
+
+
+@given(small_polys, non_monic_polys)
+def test_exact_div_by_non_monic_divisor(p, f):
+    # the quotient is found through Q and must come back to Z[t]
+    assert (p * f).exact_div(f) == p
+
+
+@given(small_polys, non_monic_polys.filter(lambda f: f != -ONE))
+@example(ONE, IntPoly((2,)))
+def test_inexact_division_raises(p, f):
+    # a remainder of 1 for deg f >= 1, a fractional quotient otherwise
+    with pytest.raises(ArithmeticError):
+        (p * f + ONE).exact_div(f)
+
+
+@given(monic_polys.filter(lambda f: f.degree > 0))
+def test_factor_multiplicity_of_zero(f):
+    # monic_divmod(0) has remainder 0, so only the guard ends this
+    assert factor_multiplicity(IntPoly(), f) == (0, IntPoly())
+
+
+def test_factor_multiplicity_rejects_a_constant_divisor():
+    # 1 divides every polynomial, so the loop would never end
+    with pytest.raises(AssertionError):
+        factor_multiplicity(T, ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given
 
 from knotcert.polynomials import det_int
-from knotcert.snf import is_unimodular, smith_normal_form
+from knotcert.snf import smith_normal_form
 from oracles import sympy_invariant_factors
 
 int_matrices = st.integers(1, 5).flatmap(
@@ -23,7 +23,6 @@ def test_snf_transform_properties(rows):
     n = len(rows)
     U, Ui, A = np.array(u), np.array(uinv), np.array(rows)
 
-    assert is_unimodular(u)
     assert abs(det_int(u)) == 1
     assert np.array_equal(U @ Ui, np.eye(n, dtype=np.int64))
 
