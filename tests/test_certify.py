@@ -200,6 +200,28 @@ def test_json_bytes_are_pinned():
     )
 
 
+def test_k2_certificate_is_pinned():
+    # cover Z_9 (k = 2): the sweeps mix several row-order patterns, where
+    # every Z_3 certificate above has one
+    cert = kc.certify_independence(
+        kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
+        [kc.multiple(m, kc.mirror(kc.torus(2, 9))) for m in (1, 9, 73)],
+        budget=3, mode="exhaustive", per_side_cap=3,
+    )
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
+        "19f70ce30fefd008bab0e95d7e977bd8b4c7abaf2f4c9a2b59bf10a3785b9887"
+    )
+    d = cert.to_json_dict()
+    assert d["prime"] == 3 and d["exponent"] == 2
+    witnessed = [c for c in cert.combos if c.reason == "witnessed"]
+    assert len(witnessed) == 62
+    assert sum(c.subgroup_count for c in witnessed) == 6206
+    # the 3 + 0 and 2 + 1 combos sweep the order-27 family of (Z_9)^3
+    subs = kc.enumerate_subgroups((9,) * 3, 27)
+    assert len(subs) == 157 and len(subs.batches) == 7
+    assert len({s.row_orders() for s in subs}) == 3
+
+
 def test_json_carries_conventions_and_version():
     d = small_cert().to_json_dict()
     assert d["version"] == kc.__version__
