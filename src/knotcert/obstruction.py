@@ -311,65 +311,50 @@ def obstruction_sum(inst, chi_tuple, terms=None):
 # vectorized witness search over all candidate metabolizers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _vectors(q, n):
     """[q^n, n] int64 array whose row i is the vector with base-q code i."""
     return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _candidates(q, n, order):
-    """(subgroups, pattern groups, column memo) of one candidate family.
+    """The SubgroupList of every subgroup of (Z_q)^n of the given order.
 
-    The forms are regrouped by row-order pattern (one group when k = 1)
-    as (orders, positions, rows) with rows [s, F, n] in the forms' own
-    small dtype, so member j of every form of a group is one
-    coefficient vector applied to s row arrays.  The memo maps a grid
-    index j to its _grid_column, filled on first use.
+    The sweep, the isotropy mask and the digest read its forms per batch
+    from subs.batches, without a copy: a batch shares one pivot pattern,
+    hence one tuple of row orders.
     """
-    subs = enumerate_subgroups((q,) * n, order)
-    patterns = {}
-    for positions, forms in subs.batches:
-        # each row's leading entry p^v gives its order q / p^v
-        orders = tuple(q // int(row[row != 0][0]) for row in forms[0])
-        patterns.setdefault(orders, []).append((positions, forms))
-    groups = []
-    for orders, parts in patterns.items():
-        positions = np.concatenate([pos for pos, _ in parts])
-        rows = np.empty((len(orders), len(positions), n), dtype=parts[0][1].dtype)
-        lo = 0
-        for _, forms in parts:
-            rows[:, lo:lo + len(forms)] = forms.transpose(1, 0, 2)
-            lo += len(forms)
-        groups.append((orders, positions, rows))
-    return subs, tuple(groups), {}
+    return enumerate_subgroups((q,) * n, order)
 
 
+# a certify process reads the first few columns of at most a few families
+@lru_cache(maxsize=16)
 def _grid_column(q, n, order, j):
     """Base-q code of member j of every candidate, in enumeration order.
 
     Member j is the j-th point of the coefficient grid that
     Subgroup.elements() walks; every candidate has exactly order points.
-    Codes use the smallest unsigned dtype holding q^n - 1, and each
-    column is built once per family.
+    It is built batch by batch of _candidates: one coefficient vector,
+    given by the batch's row orders, applied to its forms' rows.  Codes
+    use the smallest unsigned dtype holding q^n - 1.
     """
-    subs, groups, memo = _candidates(q, n, order)
-    col = memo.get(j)
-    if col is None:
-        dtype = np.min_scalar_type(q ** n - 1)
-        col = np.empty(len(subs), dtype=dtype)
-        place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-        for orders, positions, rows in groups:
-            member = np.zeros(rows.shape[1:], dtype=rows.dtype)
-            for c, row in zip(np.unravel_index(j, orders), rows):
-                if c:
-                    # entries stay below q^2, which the forms' dtype holds
-                    member += int(c) * row
-                    member %= q
-            # summed in the code dtype, with no wide copy of the members
-            col[positions] = np.einsum("fn,n->f", member, place, dtype=dtype,
-                                       casting="unsafe")
-        memo[j] = col
+    subs = _candidates(q, n, order)
+    dtype = np.min_scalar_type(q ** n - 1)
+    col = np.empty(len(subs), dtype=dtype)
+    place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
+    for positions, forms in subs.batches:
+        # each row's leading entry p^v gives its order q / p^v
+        orders = [q // int(row[row != 0][0]) for row in forms[0]]
+        member = np.zeros((len(forms), n), dtype=forms.dtype)
+        for c, row in zip(np.unravel_index(j, orders), forms.transpose(1, 0, 2)):
+            if c:
+                # entries stay below q^2, which the forms' dtype holds
+                member += int(c) * row
+                member %= q
+        # summed in the code dtype, with no wide copy of the members
+        col[positions] = np.einsum("fn,n->f", member, place, dtype=dtype,
+                                   casting="unsafe")
     return col
 
 
@@ -511,7 +496,7 @@ def _gen_codes(q, n, order):
     only) is padded with code q^n.  The dtype is the smallest unsigned
     one holding q^n.
     """
-    subs = _candidates(q, n, order)[0]
+    subs = _candidates(q, n, order)
     smax = max(forms.shape[1] for _, forms in subs.batches)
     dtype = np.min_scalar_type(q ** n)
     codes = np.full((len(subs), smax), q ** n, dtype=dtype)
@@ -658,7 +643,7 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
             f"budget {max_group_order}"
         )
     target = inst.p ** (inst.k * total // 2)
-    subs = _candidates(q, total, target)[0]
+    subs = _candidates(q, total, target)
     rows = np.arange(len(subs))
     if self_annihilating_only:
         rows = np.flatnonzero(_self_annihilating_mask(inst, subs))

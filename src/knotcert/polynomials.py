@@ -188,7 +188,8 @@ def euler_phi(n):
     return result
 
 
-@lru_cache(maxsize=None)
+# bounded like every cache: 20 invariants-dense operations ask for 26 orders d
+@lru_cache(maxsize=4096)
 def cyclotomic(d):
     """d-th cyclotomic polynomial, computed by exact division."""
     assert d >= 1

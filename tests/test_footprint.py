@@ -8,7 +8,9 @@ sweep must code only the candidate members it reads, and the digest
 must keep no text per candidate.
 """
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -134,6 +136,7 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
 
     monkeypatch.setattr(obstruction, "_witness_texts", traced_texts)
     obstruction._candidates.cache_clear()
+    obstruction._grid_column.cache_clear()
     tracemalloc.start()
     try:
         results = [kc.check_slice_obstruction(inst, witness_cap=200)
@@ -142,25 +145,32 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
     finally:
         tracemalloc.stop()
     assert all(r.obstructed and r.subgroup_count == 33880 for r in results)
-    memo = obstruction._candidates(3, 6, 27)[2]
-    assert 0 in memo and len(memo) <= 5, sorted(memo)
-    # measured 3.55 MB: the enumeration, its regrouped rows and 5 columns
+    built = obstruction._grid_column.cache_info()
+    assert 1 <= built.currsize <= 5, built
+    obstruction._grid_column(3, 6, 27, 0)
+    assert obstruction._grid_column.cache_info().hits == built.hits + 1
+    # measured 2.67 MB: the enumeration and its first columns, read from
+    # the batch arrays with no regrouped copy of the forms (3.55 MB with one)
     assert len(peaks) == 2 and peaks[0] <= 0.6 * tensor_bytes, peaks
-    # the digests keep no text per candidate: measured 3.8 MB after
-    # both, against 3.55 MB when the first starts
+    # the digests keep no text per candidate: measured 2.88 MB after
+    # both, against 2.67 MB when the first starts
     assert final_peak <= peaks[0] + 1_000_000, (peaks, final_peak)
 
 
 def test_family_caches_are_bounded():
-    # _vectors and _candidates hold one entry per (q, n) and per family;
-    # every other cache of the sweep and the digest has a fixed size
-    unbounded = {"_vectors", "_candidates"}
-    caches = [fn for fn in vars(obstruction).values()
-              if hasattr(fn, "cache_parameters")]
-    assert {"_row_texts", "_gen_codes"} <= {fn.__name__ for fn in caches}
-    for fn in caches:
-        if fn.__name__ not in unbounded:
-            assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
+    # one policy: every lru_cache of every knotcert module is bounded by
+    # entries, the per-family caches of the sweep and the digest included
+    caches = {}
+    for info in pkgutil.iter_modules(kc.__path__):
+        module = importlib.import_module(f"knotcert.{info.name}")
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_parameters"):
+                caches[fn.__module__, fn.__qualname__] = fn
+    names = {name for _, name in caches}
+    assert {"_vectors", "_candidates", "_grid_column", "_row_texts",
+            "_gen_codes", "cyclotomic"} <= names, names
+    for (module, name), fn in caches.items():
+        assert fn.cache_parameters()["maxsize"] is not None, (module, name)
 
 
 _NO_NUMPY_MA = """

@@ -424,7 +424,7 @@ def _scalar_first_match(q, n, order, rows, good):
 @pytest.mark.parametrize("q,n,order", [(3, 4, 9), (9, 2, 9), (5, 4, 25)])
 def test_column_walk_matches_scalar_first_match(q, n, order):
     rng = np.random.default_rng(q * 100 + n)
-    count = len(obstruction._candidates(q, n, order)[0])
+    count = len(obstruction._candidates(q, n, order))
     everything = np.arange(count)
     # a proper subset that skips the first subgroups, as the
     # self-annihilating filter does

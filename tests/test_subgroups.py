@@ -145,7 +145,7 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
     # side the columns are the element tensor [subgroup, member].
     # (Z_9)^3 mixes row-order patterns: (9, 3) and (3, 3, 3) at order 27;
     # at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a row count
-    subs = obstruction._candidates(q, n, order)[0]
+    subs = obstruction._candidates(q, n, order)
     assert [s.gens for s in subs] == [
         s.gens for s in kc.enumerate_subgroups((q,) * n, order)
     ]
@@ -159,8 +159,9 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
     for i, s in enumerate(subs):
         codes = [sum(x * w for x, w in zip(e, place)) for e in s.elements()]
         assert [int(c[i]) for c in columns] == codes
-    # a column is built once per family
-    assert obstruction._grid_column(q, n, order, 1) is columns[1]
+    # a column is built once per family while its cache holds it: the last
+    # column built stays under the 16-entry bound, at order 81 too
+    assert obstruction._grid_column(q, n, order, order - 1) is columns[-1]
     # the batch arrays the columns are built from place every form once,
     # at the sorted index of its Subgroup
     placed = []
