@@ -8,6 +8,7 @@ counts), so everything stays in Z or Q.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -228,60 +229,45 @@ def orders_with_phi_at_most(bound):
 # ---------------------------------------------------------------------------
 # determinants
 
-def det_int(rows):
-    """Fraction-free Bareiss determinant of a square integer matrix."""
+def _bareiss(rows, one, exact_div):
+    """Fraction-free Bareiss determinant of a square matrix over Z or Z[t].
+
+    one is the ring's 1 and exact_div(a, b) the quotient a / b, which is
+    exact at every step; entries are tested for zero by truth value.
+    """
     n = len(rows)
     if n == 0:
-        return 1
+        return one
     m = [list(r) for r in rows]
     assert all(len(r) == n for r in m)
     sign = 1
-    prev = 1
+    prev = one
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return one - one
+        # column k below the pivot is never read again
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0
-                m[i][j] = q
-            m[i][k] = 0
+                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def det_int(rows):
+    """Fraction-free Bareiss determinant of a square integer matrix."""
+    return _bareiss(rows, 1, operator.floordiv)
 
 
 def det_poly(rows):
     """Bareiss determinant of a square matrix of IntPoly entries."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = IntPoly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return _bareiss(rows, ONE, IntPoly.exact_div)
 
 
 # ---------------------------------------------------------------------------
