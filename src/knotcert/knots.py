@@ -31,8 +31,8 @@ class SeifertMatrix:
 
     The difference V - V^T is skew, so its determinant is a square and
     unimodularity is equivalent to det(V - V^T) = +1 exactly; it is
-    checked on construction, except for the matrices mirror and
-    block_diagonal derive from checked ones.
+    checked on construction, except for the torus matrices and the
+    matrices mirror and block_diagonal derive from checked ones.
     """
 
     rows: tuple
@@ -247,7 +247,8 @@ def _torus_matrix(n):
         )
         for i in range(size)
     )
-    return SeifertMatrix(rows)
+    # V - V^T has 1 above and -1 below the diagonal, of even size: det 1
+    return SeifertMatrix._derived(rows)
 
 
 @lru_cache(maxsize=64)

@@ -92,8 +92,9 @@ def test_mirror_transposes_and_negates(e):
 
 @given(knot_exprs())
 def test_derived_matrices_equal_the_checked_construction(e):
-    # mirror and block_diagonal skip the determinant check: what they build
-    # must be exactly what the checked constructor accepts
+    # torus matrices, mirror and block_diagonal skip the determinant check:
+    # every matrix evaluate builds, torus(2, n) included, must be exactly
+    # what the checked constructor accepts
     for v in (kc.evaluate(e), kc.evaluate(kc.mirror(e)),
               kc.evaluate(kc.connected_sum(e, kc.mirror(e))),
               kc.evaluate(kc.multiple(3, e)), kc.evaluate(kc.multiple(-2, e))):
