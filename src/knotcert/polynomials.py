@@ -232,8 +232,9 @@ def orders_with_phi_at_most(bound):
 def _bareiss(rows, one, exact_div):
     """Fraction-free Bareiss determinant of a square matrix over Z or Z[t].
 
-    one is the ring's 1 and exact_div(a, b) the quotient a / b, which is
-    exact at every step; entries are tested for zero by truth value.
+    one is the ring's 1 (a singular matrix gives one - one, its 0) and
+    exact_div(a, b) the quotient a / b, which is exact at every step;
+    entries are tested for zero by truth value.
     """
     n = len(rows)
     if n == 0:

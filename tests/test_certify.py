@@ -216,7 +216,7 @@ def test_k2_certificate_is_pinned():
     witnessed = [c for c in cert.combos if c.reason == "witnessed"]
     assert len(witnessed) == 62
     assert sum(c.subgroup_count for c in witnessed) == 6206
-    # the 3 + 0 and 2 + 1 combos sweep the order-27 family of (Z_9)^3
+    # every combo of total 3 sweeps the order-27 family of (Z_9)^3
     subs = kc.enumerate_subgroups((9,) * 3, 27)
     assert len(subs) == 157 and len(subs.batches) == 7
     assert len({s.row_orders() for s in subs}) == 3

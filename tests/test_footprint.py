@@ -150,7 +150,7 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
     obstruction._grid_column(3, 6, 27, 0)
     assert obstruction._grid_column.cache_info().hits == built.hits + 1
     # measured 2.67 MB: the enumeration and its first columns, read from
-    # the batch arrays with no regrouped copy of the forms (3.55 MB with one)
+    # the batch arrays with no regrouped copy of the forms
     assert len(peaks) == 2 and peaks[0] <= 0.6 * tensor_bytes, peaks
     # the digests keep no text per candidate: measured 2.88 MB after
     # both, against 2.67 MB when the first starts

@@ -143,8 +143,9 @@ def test_enumeration_beyond_brute_force(p, k, n, t, count):
 def test_element_tensor_matches_subgroup_elements(q, n, order):
     # the sweep reads the member codes one grid column at a time; side by
     # side the columns are the element tensor [subgroup, member].
-    # (Z_9)^3 mixes row-order patterns: (9, 3) and (3, 3, 3) at order 27;
-    # at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a row count
+    # (Z_9)^3 mixes row-order patterns: (9, 3), (3, 9) and (3, 3, 3) at
+    # order 27; at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a
+    # row count
     subs = obstruction._candidates(q, n, order)
     assert [s.gens for s in subs] == [
         s.gens for s in kc.enumerate_subgroups((q,) * n, order)
