@@ -135,6 +135,16 @@ def sympy_invariant_factors(rows):
     return tuple(int(abs(d)) for d in inv if d != 0 and abs(d) != 1)
 
 
+def sympy_linking(sym, x, y):
+    """-x^T (V + V^T)^{-1} y mod 1 for integer vectors, by sympy over Q."""
+    n = len(sym)
+    a = DomainMatrix([[sympy.QQ(v) for v in row] for row in sym], (n, n), sympy.QQ)
+    col = DomainMatrix([[sympy.QQ(v)] for v in y], (n, 1), sympy.QQ)
+    sol = a.lu_solve(col).to_list_flat()
+    total = -sum((xi * s for xi, s in zip(x, sol)), sympy.QQ(0))
+    return Fraction(int(total.numerator), int(total.denominator)) % 1
+
+
 def sympy_alexander_coeffs(rows):
     """Normalized Alexander polynomial coefficients via symbolic det.
 

@@ -1,5 +1,6 @@
 """Double branched covers: homology, linking forms, characters."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotcert as kc
+from oracles import sympy_linking
 from strategies import knot_exprs
 
 
@@ -87,6 +89,26 @@ def test_linking_routes_agree():
         for x in product(*[range(f) for f in pres.group.factors]):
             for y in product(*[range(f) for f in pres.group.factors]):
                 assert kc.linking_form(v, x, y) == pres.linking(x, y)
+
+
+@pytest.mark.parametrize("text", [
+    "3*torus(2,11)#torus(2,3)#torus(2,3)",
+    "2*torus(2,21)#torus(2,5)",
+    "torus(2,9)#mirror(torus(2,15))#2*torus(2,7)",
+    "torus(2,3)#torus(2,3)",
+])
+def test_linking_matches_inverse_oracle(text):
+    # lambda(x, y) = -x^T (V+V^T)^{-1} y mod 1 for integer vectors x, y,
+    # whatever generators the presentation picked
+    v = kc.evaluate(kc.parse_knot(text))
+    pres = kc.cover_presentation(v)
+    sym = v.symmetrized()
+    rng = random.Random(2011)
+    for _ in range(12):
+        x = [rng.randint(-6, 6) for _ in sym]
+        y = [rng.randint(-6, 6) for _ in sym]
+        got = pres.linking(pres.coords(x), pres.coords(y))
+        assert got == sympy_linking(sym, x, y), (x, y)
 
 
 def test_linking_is_symmetric_bilinear_nondegenerate():
