@@ -6,7 +6,7 @@ odd.  The linking form on that group is
 
     lambda(x, y) = -x^T (V + V^T)^{-1} y   (mod 1),
 
-computed exactly with rationals.  (The sign makes the trefoil satisfy
+computed exactly from the Smith normal form of V + V^T.  (The sign makes the trefoil satisfy
 lambda(g, g) = 2/3 on a generator g, the standard convention for the
 form presented by -(V+V^T)^{-1}.)
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -131,28 +131,6 @@ class Character:
         return tuple((v.numerator, v.denominator) for v in self.values)
 
 
-def _fraction_inverse_image(sym, columns):
-    """Solve A X = C exactly over Q; A = sym (nonsingular), C = columns."""
-    n = len(sym)
-    a = [[Fraction(sym[r][c]) for c in range(n)] for r in range(n)]
-    # augmented elimination: carry the right-hand sides along
-    rhs = [[Fraction(columns[k][r]) for k in range(len(columns))] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        rhs[col] = [v * inv for v in rhs[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                rhs[r] = [v - f * w for v, w in zip(rhs[r], rhs[col])]
-    # rhs rows now hold A^{-1} C
-    return [tuple(rhs[r][k] for r in range(n)) for k in range(len(columns))]
-
-
 @dataclass(frozen=True)
 class CoverPresentation:
     """Homology of the double branched cover with explicit coordinates."""
@@ -163,23 +141,7 @@ class CoverPresentation:
     positions: tuple           # indices of nontrivial diagonal entries
     diag: tuple
     generator_lifts: tuple     # integer vectors mapping onto the generators
-
-    @cached_property
-    def linking_matrix(self):
-        """r x r Fractions mod 1 on the generators (exact, computed lazily --
-        the Gauss-Jordan solve is cubic and only linking consumers need it)."""
-        r = len(self.positions)
-        if r == 0:
-            return ()
-        inv_cols = _fraction_inverse_image(self.sym, self.generator_lifts)
-        return tuple(
-            tuple(
-                (-sum(Fraction(a) * b
-                      for a, b in zip(self.generator_lifts[i], inv_cols[j]))) % 1
-                for j in range(r)
-            )
-            for i in range(r)
-        )
+    linking_matrix: tuple      # r x r Fractions mod 1 on the generators
 
     def coords(self, z):
         z = tuple(int(v) for v in z)
@@ -212,11 +174,17 @@ def _unit_coords(group):
 
 
 def _presentation(sym):
-    """CoverPresentation of the group presented by a symmetric matrix."""
+    """CoverPresentation of the group presented by a symmetric matrix.
+
+    With U A W = D from the Smith form, U^{-1} = A W D^{-1}: generator
+    i lifts to column p_i of A W over d_{p_i}, and since
+    A^{-1} = W D^{-1} U the linking form on generators is
+    lambda_ij = -(g_i . W[:, p_j]) / d_{p_j} mod 1.
+    """
     n = len(sym)
     if n == 0:
-        return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), ())
-    diag, u_rows, uinv_rows = smith_normal_form(sym)
+        return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), (), ())
+    diag, u_rows, w_rows = smith_normal_form(sym)
     diag = tuple(diag)
     u_rows = tuple(tuple(r) for r in u_rows)
     assert all(d > 0 for d in diag), "V + V^T is nonsingular for genuine knots"
@@ -226,10 +194,21 @@ def _presentation(sym):
     assert det % 2 == 1, "double branched cover homology has odd order"
     positions = tuple(i for i, d in enumerate(diag) if d > 1)
     group = FiniteAbelianGroup(tuple(diag[i] for i in positions))
-    lifts = tuple(
-        tuple(uinv_rows[r][i] for r in range(n)) for i in positions
+    w_cols = [[row[p] for row in w_rows] for p in positions]
+    lifts = []
+    for p, w in zip(positions, w_cols):
+        aw = [sum(x * y for x, y in zip(row, w)) for row in sym]
+        assert all(v % diag[p] == 0 for v in aw)
+        lifts.append(tuple(v // diag[p] for v in aw))
+    linking = tuple(
+        tuple(
+            Fraction(-sum(x * y for x, y in zip(g, w)), diag[p]) % 1
+            for p, w in zip(positions, w_cols)
+        )
+        for g in lifts
     )
-    return CoverPresentation(group, sym, u_rows, positions, diag, lifts)
+    return CoverPresentation(
+        group, sym, u_rows, positions, diag, tuple(lifts), linking)
 
 
 @lru_cache(maxsize=64)

@@ -19,12 +19,16 @@ int_matrices = st.integers(1, 5).flatmap(
 
 @given(int_matrices)
 def test_snf_transform_properties(rows):
-    diag, u, uinv = smith_normal_form(rows)
+    diag, u, w = smith_normal_form(rows)
     n = len(rows)
-    U, Ui, A = np.array(u), np.array(uinv), np.array(rows)
 
+    # the whole factorization: U A W = diag with U and W unimodular
     assert abs(det_int(u)) == 1
-    assert np.array_equal(U @ Ui, np.eye(n, dtype=np.int64))
+    assert abs(det_int(w)) == 1
+    U, A, W = (np.array(x, dtype=object) for x in (u, rows, w))
+    D = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(D, diag)
+    assert np.array_equal(U @ A @ W, D)
 
     # divisibility chain, nonnegative, zeros trailing
     assert all(d >= 0 for d in diag)
@@ -33,15 +37,6 @@ def test_snf_transform_properties(rows):
             assert b == 0
         else:
             assert b % a == 0
-
-    # U A = diag @ W^{-1}: row i of U A is divisible by d_i (zero rows
-    # where d_i = 0)
-    ua = (U @ A).tolist()
-    for row, d in zip(ua, diag):
-        if d == 0:
-            assert all(x == 0 for x in row)
-        else:
-            assert all(x % d == 0 for x in row)
 
     # |det A| is the product of the diagonal
     prod = 1
@@ -57,8 +52,9 @@ def test_snf_diag_matches_sympy_invariant_factors(rows):
 
 
 def test_snf_identity_and_zero():
-    diag, u, uinv = smith_normal_form([[1, 0], [0, 1]])
+    diag, u, w = smith_normal_form([[1, 0], [0, 1]])
     assert diag == [1, 1]
+    assert u == w == [[1, 0], [0, 1]]
     diag, _, _ = smith_normal_form([[0, 0], [0, 0]])
     assert diag == [0, 0]
 
