@@ -596,8 +596,6 @@ class SliceObstructionResult:
     witnesses: tuple = ()
     witness_digest: str = None
     failed_subgroup: tuple = None
-    profile_mode: str = "exact"
-    bound: Fraction = Fraction(0)
     self_annihilating_only: bool = False
 
     @property
@@ -626,7 +624,6 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     if total == 0:
         return SliceObstructionResult(
             False, "empty-instance", inst.p, inst.k, 0, 0,
-            profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
     if (inst.k * total) % 2 == 1:
@@ -634,7 +631,6 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         # have square cover homology order: obstructed with no search
         return SliceObstructionResult(
             True, "parity", inst.p, inst.k, total, 0,
-            profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
     if q ** total > max_group_order:
@@ -661,7 +657,6 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
         return SliceObstructionResult(
             False, "vanishing-subgroup", inst.p, inst.k, total, len(rows),
             failed_subgroup=subs[int(rows[bad])].gens,
-            profile_mode=inst.profile.mode, bound=inst.profile.bound,
             self_annihilating_only=self_annihilating_only,
         )
     texts = _witness_texts(q, total, target, rows, first, sum_lo, sum_hi, den)
@@ -672,7 +667,6 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     return SliceObstructionResult(
         True, "witnessed", inst.p, inst.k, total, len(rows),
         witnesses=witnesses, witness_digest=digest,
-        profile_mode=inst.profile.mode, bound=inst.profile.bound,
         self_annihilating_only=self_annihilating_only,
     )
 
@@ -696,14 +690,6 @@ class SelectionReport:
 
     indices: tuple
     ranges: tuple       # per family member: (lower, upper) over nonzero chi
-    profile_mode: str
-    bound: Fraction
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 def select_subsequence(family, cover, profile):
@@ -732,6 +718,4 @@ def select_subsequence(family, cover, profile):
         if lo > threshold:
             indices.append(i)
             threshold = hi
-    return SelectionReport(
-        tuple(indices), tuple(ranges), profile.mode, profile.bound
-    )
+    return SelectionReport(tuple(indices), tuple(ranges))
