@@ -6,9 +6,9 @@ odd.  The linking form on that group is
 
     lambda(x, y) = -x^T (V + V^T)^{-1} y   (mod 1),
 
-computed exactly from the Smith normal form of V + V^T.  (The sign makes the trefoil satisfy
-lambda(g, g) = 2/3 on a generator g, the standard convention for the
-form presented by -(V+V^T)^{-1}.)
+computed exactly from the Smith normal form of V + V^T.  (The sign
+makes the trefoil satisfy lambda(g, g) = 2/3 on a generator g, the
+standard convention for the form presented by -(V+V^T)^{-1}.)
 
 Characters into Q/Z are stored by their values on the fixed
 invariant-factor generators; the embedding of a cyclic group Z_n into

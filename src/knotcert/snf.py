@@ -119,11 +119,13 @@ def smith_normal_form(rows):
             for i in range(t + 1, m):
                 if a[i][t]:
                     tr.addmul(a, i, t, -_rounded_quotient(a[i][t], pivot))
-                    dirty = dirty or a[i][t] != 0
+                    if a[i][t]:
+                        dirty = True
             for j in range(t + 1, n):
                 if a[t][j]:
                     tr.col_addmul(a, j, t, -_rounded_quotient(a[t][j], pivot))
-                    dirty = dirty or a[t][j] != 0
+                    if a[t][j]:
+                        dirty = True
             if not dirty:
                 # divisibility chain: a pivot must divide the whole
                 # remaining block; bring an offending row into row t,
