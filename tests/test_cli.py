@@ -7,6 +7,7 @@ mapping is: 0 success, 1 parse/input errors, 2 hypothesis violations
 memory exhaustion.
 """
 
+import hashlib
 import json
 
 import hypothesis.strategies as st
@@ -403,6 +404,25 @@ def test_certify_per_side_cap_one_still_certifies(capsys):
     assert {tuple(c["coefficients"]) for c in data["combos"]} == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1),
     }
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--pattern", "whitehead:1,1",
+      "--family", "mirror(torus(2,3));3*mirror(torus(2,3));9*mirror(torus(2,3))",
+      "--budget", "6"],
+     "6a74ba832a0c7ef354c0fefbc704beb5e24b370d7da88e88d374fcdfef61cbb4"),
+    (["--pattern", "whitehead:1,-2",
+      "--family", "mirror(torus(2,9));9*mirror(torus(2,9));73*mirror(torus(2,9))",
+      "--budget", "3", "--max-group-order", "1000000000"],
+     "c2323261c7f713a5591d1f6f070c9700e0d6c44756776baa212092773973d7b0"),
+], ids=["z3-readme", "z9-budget3"])
+def test_self_annihilating_certificate_bytes_are_pinned(capsys, argv, digest):
+    # the metabolizer sweep of README's example (cover Z_3) and of a
+    # k = 2 family (cover Z_9): the exact bytes the CLI writes
+    code, out, _ = run_cli(capsys, ["certify", *argv, "--mode", "exhaustive",
+                                    "--per-side-cap", "3", "--self-annihilating"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- demo
