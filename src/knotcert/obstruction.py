@@ -13,10 +13,11 @@ the exact Levine-Tristram engine.  A connected sum
     #_i P(K_i)  #  -(#_j P(L_j))
 
 is probed for sliceness by enumerating every subgroup of the required
-metabolizer order p^{(m+n)k/2} inside (Z_{p^k})^{m+n} and hunting for a
-character tuple in each with nonvanishing obstruction sum; if all
-subgroups are witnessed the sum cannot be slice.  Inconclusive is
-always allowed, a false obstruction never.
+metabolizer order p^{(m+n)k/2} inside (Z_{p^k})^{m+n} (or just the
+metabolizers) and hunting for a character tuple in each with
+nonvanishing obstruction sum; if all subgroups are witnessed the sum
+cannot be slice.  Inconclusive is always allowed, a false obstruction
+never.
 
 Interval semantics: in bounded mode a sum only counts as nonvanishing
 when its whole interval lies on one side of 0.
@@ -318,19 +319,20 @@ def _vectors(q, n):
 
 
 @lru_cache(maxsize=8)
-def _candidates(q, n, order):
-    """The SubgroupList of every subgroup of (Z_q)^n of the given order.
+def _candidates(q, n, order, form):
+    """The subgroups of (Z_q)^n of the order, isotropic for form if given.
 
-    The sweep, the isotropy mask and the digest read its forms per batch
-    from subs.batches, without a copy: a batch shares one pivot pattern,
-    hence one tuple of row orders.
+    Every family cache takes form positionally, so a family has one key.
+    The sweep and the digest read its forms per batch from subs.batches,
+    without a copy: a batch shares one pivot pattern, hence one tuple of
+    row orders.
     """
-    return enumerate_subgroups((q,) * n, order)
+    return enumerate_subgroups((q,) * n, order, form=form)
 
 
 # a certify process reads the first few columns of at most a few families
 @lru_cache(maxsize=16)
-def _grid_column(q, n, order, j):
+def _grid_column(q, n, order, form, j):
     """Base-q code of member j of every candidate, in enumeration order.
 
     Member j is the j-th point of the coefficient grid that
@@ -339,7 +341,7 @@ def _grid_column(q, n, order, j):
     given by the batch's row orders, applied to its forms' rows.  Codes
     use the smallest unsigned dtype holding q^n - 1.
     """
-    subs = _candidates(q, n, order)
+    subs = _candidates(q, n, order, form)
     dtype = np.min_scalar_type(q ** n - 1)
     col = np.empty(len(subs), dtype=dtype)
     place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
@@ -358,23 +360,21 @@ def _grid_column(q, n, order, j):
     return col
 
 
-def _first_witnesses(q, n, order, rows, good):
-    """(codes, None), or (None, i) when some swept subgroup has no witness.
+def _first_witnesses(q, n, order, form, good):
+    """(codes, None), or (None, i) when some candidate has no witness.
 
-    rows lists the swept subgroups' enumeration indices in increasing
-    order and good[c] says whether the member with base-q code c is a
-    witness.  codes[i] is the code of the first witness of subgroup
-    rows[i] in grid order; i is the first subgroup, in enumeration
-    order, whose whole grid misses.  The grid is walked one column at a
-    time over the subgroups still without a witness, and most find one
-    in a few columns.
+    good[c] says whether the member with base-q code c is a witness.
+    codes[i] is the code of candidate i's first witness in grid order;
+    i is the first candidate whose whole grid misses.  The grid is
+    walked one column at a time over the candidates still without a
+    witness, and most find one in a few columns.
     """
-    first = np.zeros(len(rows), dtype=np.intp)
-    pending = np.arange(len(rows))
+    pending = np.arange(len(_candidates(q, n, order, form)))
+    first = np.zeros(len(pending), dtype=np.intp)
     for j in range(order):
         if not len(pending):
             break
-        codes = _grid_column(q, n, order, j)[rows[pending]]
+        codes = _grid_column(q, n, order, form, j)[pending]
         hit = good[codes]
         first[pending[hit]] = codes[hit]
         pending = pending[~hit]
@@ -421,27 +421,18 @@ def _value_tables(inst):
     return lo, hi, den
 
 
-def _self_annihilating_mask(inst, subs):
-    """Which subgroups pair to 0 with themselves under the linking form.
+def _isotropy_form(inst):
+    """(signs, b) such that u, w pair to 0 iff b | sum_i sign_i u_i w_i.
 
-    Vectors u, w pair to mu * sum_i sign_i u_i w_i mod 1, where mu is
-    the self-linking of the p-primary generator.  With mu = a/b in
-    lowest terms that is 0 iff b divides the integer sum, so a subgroup
-    is isotropic iff b divides every entry of its Gram matrix
-    gens . diag(signs) . gens^T.
+    They pair to mu * sum_i sign_i u_i w_i mod 1, where mu = a/b in
+    lowest terms is the self-linking of the p-primary generator.
     """
     q = inst.p ** inst.k
     n_cover = inst.pattern.group.order
     lam = inst.pattern.linking_matrix[0][0]
     # self-linking of the p-primary generator (n/q) * g
     b = ((Fraction(n_cover // q) ** 2 * lam) % 1).denominator
-    signs = np.array([1] * inst.m + [-1] * inst.n_neg, dtype=np.int64)
-    mask = np.empty(len(subs), dtype=bool)
-    for positions, forms in subs.batches:
-        gens = forms.astype(np.int64)
-        gram = np.einsum("sia,a,sja->sij", gens, signs, gens)
-        mask[positions] = (gram % b == 0).all(axis=(1, 2))
-    return mask
+    return (1,) * inst.m + (-1,) * inst.n_neg, b
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +479,7 @@ def _row_texts(q, n):
 
 
 @lru_cache(maxsize=8)
-def _gen_codes(q, n, order):
+def _gen_codes(q, n, order, form):
     """[S, smax] base-q codes of each candidate's generator rows.
 
     Candidates are in the enumeration order of _candidates, rows in
@@ -496,8 +487,8 @@ def _gen_codes(q, n, order):
     only) is padded with code q^n.  The dtype is the smallest unsigned
     one holding q^n.
     """
-    subs = _candidates(q, n, order)
-    smax = max(forms.shape[1] for _, forms in subs.batches)
+    subs = _candidates(q, n, order, form)
+    smax = max((forms.shape[1] for _, forms in subs.batches), default=0)
     dtype = np.min_scalar_type(q ** n)
     codes = np.full((len(subs), smax), q ** n, dtype=dtype)
     place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
@@ -517,20 +508,19 @@ def _value_tail(lo, hi, den):
     return f'],"value":{value}}}'.encode()
 
 
-def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
+def _witness_texts(q, n, order, form, codes, sum_lo, sum_hi, den):
     """Canonical JSON bytes of each witness, in family order.
 
-    rows holds the swept subgroups' enumeration indices, codes the int
-    array of their witnesses' base-q codes, and sum_lo/sum_hi are the
-    sweep's tables, so code c has the value sum_lo[c]/den to
-    sum_hi[c]/den.  Each text is its code's head, its subgroup's row
+    codes holds each candidate's witness code, in enumeration order, and
+    sum_lo/sum_hi are the sweep's tables, so code c has the value
+    sum_lo[c]/den to sum_hi[c]/den.  Each text is its code's head, its subgroup's row
     texts and its code's tail, concatenated as whole arrays of
     _DIGEST_CHUNK witnesses at a time; heads and tails are built only
     for the distinct codes.  A generator of one bytes object per
     witness, each chunk built when its reader reaches it.
     """
     plain, comma = _row_texts(q, n)
-    gens = _gen_codes(q, n, order)
+    gens = _gen_codes(q, n, order, form)
     # sorted distinct codes; np.unique(codes) loads numpy.ma (1.3 MB)
     ranked = np.sort(codes.astype(gens.dtype))
     first = np.ones(len(ranked), dtype=bool)
@@ -539,9 +529,9 @@ def _witness_texts(q, n, order, rows, codes, sum_lo, sum_hi, den):
     heads = _concat(_concat(b'{"chi":', plain[distinct]), b',"subgroup":[')
     tails = np.array([_value_tail(a, b, den) for a, b in
                       zip(sum_lo[distinct].tolist(), sum_hi[distinct].tolist())])
-    for lo in range(0, len(rows), _DIGEST_CHUNK):
+    for lo in range(0, len(codes), _DIGEST_CHUNK):
         part = np.searchsorted(distinct, codes[lo:lo + _DIGEST_CHUNK])
-        g = gens[rows[lo:lo + _DIGEST_CHUNK]]
+        g = gens[lo:lo + _DIGEST_CHUNK]
         texts = _concat(heads[part], plain[g[:, 0]])
         for col in g.T[1:]:
             texts = _concat(texts, comma[col])
@@ -596,7 +586,6 @@ class SliceObstructionResult:
     witnesses: tuple = ()
     witness_digest: str = None
     failed_subgroup: tuple = None
-    self_annihilating_only: bool = False
 
     @property
     def inconclusive(self):
@@ -608,10 +597,11 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     """Obstruct sliceness of the signed satellite connected sum.
 
     Sweeps every subgroup of order p^{(m+n)k/2} of (Z_{p^k})^{m+n} (a
-    superset of the linking-form metabolizers, hence sound); each needs
-    a member character tuple whose obstruction sum is nonzero (interval
-    excluding 0 in bounded mode).  Raises BudgetExceeded when the
-    ambient group is larger than max_group_order.
+    superset of the linking-form metabolizers, hence sound), or with
+    self_annihilating_only just the metabolizers, which are enumerated
+    directly; each needs a member character tuple whose obstruction
+    sum is nonzero (interval excluding 0 in bounded mode).  Raises
+    BudgetExceeded when the ambient group is larger than max_group_order.
 
     Each witness is written once, as canonical JSON text, by
     _witness_texts.  witness_cap (None = keep everything): when more
@@ -623,26 +613,19 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     total = inst.total
     if total == 0:
         return SliceObstructionResult(
-            False, "empty-instance", inst.p, inst.k, 0, 0,
-            self_annihilating_only=self_annihilating_only,
-        )
+            False, "empty-instance", inst.p, inst.k, 0, 0)
     if (inst.k * total) % 2 == 1:
         # |H1|_p = p^{k(m+n)} is not a perfect square, but slice knots
         # have square cover homology order: obstructed with no search
-        return SliceObstructionResult(
-            True, "parity", inst.p, inst.k, total, 0,
-            self_annihilating_only=self_annihilating_only,
-        )
+        return SliceObstructionResult(True, "parity", inst.p, inst.k, total, 0)
     if q ** total > max_group_order:
         raise BudgetExceeded(
             f"ambient character group has order {q}^{total} > "
             f"budget {max_group_order}"
         )
     target = inst.p ** (inst.k * total // 2)
-    subs = _candidates(q, total, target)
-    rows = np.arange(len(subs))
-    if self_annihilating_only:
-        rows = np.flatnonzero(_self_annihilating_mask(inst, subs))
+    form = _isotropy_form(inst) if self_annihilating_only else None
+    subs = _candidates(q, total, target, form)
     lo_t, hi_t, den = _value_tables(inst)
     # the obstruction sum of every character tuple, by base-q code, so
     # each subgroup member's sum is one lookup: at most q^total entries,
@@ -652,22 +635,20 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     sum_lo = lo_t[cols, vecs].sum(axis=1)
     sum_hi = hi_t[cols, vecs].sum(axis=1)
     first, bad = _first_witnesses(
-        q, total, target, rows, (sum_lo > 0) | (sum_hi < 0))
+        q, total, target, form, (sum_lo > 0) | (sum_hi < 0))
     if first is None:
         return SliceObstructionResult(
-            False, "vanishing-subgroup", inst.p, inst.k, total, len(rows),
-            failed_subgroup=subs[int(rows[bad])].gens,
-            self_annihilating_only=self_annihilating_only,
+            False, "vanishing-subgroup", inst.p, inst.k, total, len(subs),
+            failed_subgroup=subs[bad].gens,
         )
-    texts = _witness_texts(q, total, target, rows, first, sum_lo, sum_hi, den)
-    if witness_cap is not None and len(rows) > witness_cap:
+    texts = _witness_texts(q, total, target, form, first, sum_lo, sum_hi, den)
+    if witness_cap is not None and len(subs) > witness_cap:
         digest, witnesses = witness_list_digest(texts), ()
     else:
         digest, witnesses = None, tuple(json.loads(b"[" + b",".join(texts) + b"]"))
     return SliceObstructionResult(
-        True, "witnessed", inst.p, inst.k, total, len(rows),
+        True, "witnessed", inst.p, inst.k, total, len(subs),
         witnesses=witnesses, witness_digest=digest,
-        self_annihilating_only=self_annihilating_only,
     )
 
 

@@ -12,6 +12,10 @@ only needs a membership test against the finished suffix.  For k = 1
 every v_i is 0, the condition holds trivially and the forms are the
 reduced row echelon forms of F_p-subspaces.
 
+Given a diagonal pairing, a form's rows generate its subgroup, so it is
+isotropic iff its rows pair to 0 with themselves and each other: a
+candidate row failing that against a suffix is dropped at once.
+
 Enumeration counts run to the millions ((Z_9)^5 has 1,288,651
 subgroups of order 243), so the forms are built as integer arrays, a
 whole batch of suffixes with one pivot pattern extended per array
@@ -187,13 +191,16 @@ def _in_span(w, forms, pivots, p, q):
     return ok & ~w.any(axis=2)
 
 
-def _howell_forms(p, k, n, t):
+def _howell_forms(p, k, n, t, form=None):
     """Every Howell form of order p^t in (Z_{p^k})^n, in batches.
 
     Each batch is an array [F, s, n] of the forms sharing one pivot
     pattern, rows in pivot order.  A batch of finished suffixes is
     extended by every row with a given earlier pivot and valuation in one
     pass: the candidate rows are one product grid of their free entries.
+    form = (signs, b) keeps only the forms isotropic for the pairing
+    sum_i signs_i u_i w_i mod b, summed in int64: n products of entries
+    below q overflow the forms' dtype.
     """
     q = p ** k
     # entries, and every product in the membership test, lie in (-q^2, q^2)
@@ -222,17 +229,25 @@ def _howell_forms(p, k, n, t):
             step = max(1, _PAIR_CHUNK // (len(rows) * n))
             for v in vals:
                 rows[:, col] = p ** v
-                shadow = rows * p ** (k - v) % q
+                cand = rows
+                if form is not None:  # rows that pair to 0 with themselves
+                    signed = rows * np.array(form[0], dtype=np.int64)
+                    keep = (signed * rows).sum(axis=1) % form[1] == 0
+                    cand, signed = rows[keep], signed[keep]
+                shadow = cand * p ** (k - v) % q
                 parts = []
                 for lo in range(0, len(forms), step):
                     part = forms[lo:lo + step]
                     if v:
                         ok = _in_span(shadow, part, pivots, p, q)
                     else:  # p^k * row is 0, which every span contains
-                        ok = np.ones((len(part), len(rows)), dtype=bool)
+                        ok = np.ones((len(part), len(cand)), dtype=bool)
+                    if form is not None:  # ... and with every suffix row
+                        pair = np.einsum("fjn,gn->fgj", part, signed)
+                        ok &= (pair % form[1] == 0).all(axis=2)
                     f, g = np.nonzero(ok)
                     new = np.empty((len(f), len(pivots) + 1, n), dtype=dt)
-                    new[:, 0] = rows[g]
+                    new[:, 0] = cand[g]
                     new[:, 1:] = part[f]
                     parts.append(new)
                 new = np.concatenate(parts)
@@ -249,6 +264,8 @@ def _lex_order(batches):
     Each form is flattened row by row and padded with -1, so a shorter
     prefix sorts first.
     """
+    if not batches:
+        return np.zeros(0, dtype=np.intp)
     width = max(1, max(f.shape[1] * f.shape[2] for f in batches))
     keys = np.full((width, sum(map(len, batches))), -1, dtype=batches[0].dtype)
     lo = 0
@@ -291,11 +308,12 @@ class SubgroupList(Sequence):
         return Subgroup(self.modulus, self.n, tuple(map(tuple, gens)))
 
 
-def enumerate_subgroups(group, target_order):
+def enumerate_subgroups(group, target_order, form=None):
     """Every subgroup of (Z_{p^k})^N of exactly the given order.
 
     Returned as a SubgroupList of Subgroups with canonical generators,
-    sorted by gens, no duplicates.
+    sorted by gens, no duplicates.  With form = (signs, b), only those
+    isotropic for sum_i signs_i u_i w_i mod b (see _howell_forms).
     """
     if target_order < 1:
         raise HypothesisViolation(f"target order {target_order} is not positive")
@@ -328,4 +346,4 @@ def enumerate_subgroups(group, target_order):
         )
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
-    return SubgroupList(q, n, _howell_forms(p, k, n, t))
+    return SubgroupList(q, n, _howell_forms(p, k, n, t, form))

@@ -197,7 +197,7 @@ def self_annihilating_mask(inst, subs):
     """Which subgroups pair to 0 with themselves under the linking form.
 
     Every pair of generator rows u, w is paired as
-    sum_i sign_i * mu * u_i * w_i mod 1 over Fractions, where mu is the
+    mu * sum_i sign_i * u_i * w_i mod 1 over Fractions, where mu is the
     self-linking of the p-primary generator of the pattern cover.
     """
     q = inst.p ** inst.k
@@ -210,8 +210,8 @@ def self_annihilating_mask(inst, subs):
         ok = True
         for u in s.gens:
             for w in s.gens:
-                pair = sum(
-                    sg * mu * ui * wi for sg, ui, wi in zip(signs, u, w)
+                pair = mu * sum(
+                    sg * ui * wi for sg, ui, wi in zip(signs, u, w)
                 ) % 1
                 if pair != 0:
                     ok = False

@@ -147,7 +147,7 @@ def test_column_walk_peaks_well_under_the_member_tensor(monkeypatch):
     assert all(r.obstructed and r.subgroup_count == 33880 for r in results)
     built = obstruction._grid_column.cache_info()
     assert 1 <= built.currsize <= 5, built
-    obstruction._grid_column(3, 6, 27, 0)
+    obstruction._grid_column(3, 6, 27, None, 0)
     assert obstruction._grid_column.cache_info().hits == built.hits + 1
     # measured 2.67 MB: the enumeration and its first columns, read from
     # the batch arrays with no regrouped copy of the forms

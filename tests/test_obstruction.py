@@ -333,7 +333,6 @@ def test_self_annihilating_filter_narrows_candidates():
     res_sa = kc.check_slice_obstruction(inst, self_annihilating_only=True)
     assert res_all.subgroup_count == 4
     assert res_sa.subgroup_count == 2
-    assert res_sa.self_annihilating_only
     sa_gens = {_gens(w) for w in res_sa.witnesses}
     assert sa_gens == {((1, 1),), ((1, 2),)}
     assert sa_gens <= {_gens(w) for w in res_all.witnesses}
@@ -405,13 +404,13 @@ def test_sweep_matches_first_witness_oracle():
     assert verdicts == [True, False, False, True, True]
 
 
-def _scalar_first_match(q, n, order, rows, good):
+def _scalar_first_match(q, n, order, good):
     """The column walk's answer, one Subgroup.elements() list at a time."""
     subs = kc.enumerate_subgroups((q,) * n, order)
     place = [q ** (n - 1 - i) for i in range(n)]
     codes = []
-    for i, r in enumerate(rows):
-        for e in subs[r].elements():
+    for i, s in enumerate(subs):
+        for e in s.elements():
             c = sum(x * w for x, w in zip(e, place))
             if good[c]:
                 codes.append(c)
@@ -424,36 +423,23 @@ def _scalar_first_match(q, n, order, rows, good):
 @pytest.mark.parametrize("q,n,order", [(3, 4, 9), (9, 2, 9), (5, 4, 25)])
 def test_column_walk_matches_scalar_first_match(q, n, order):
     rng = np.random.default_rng(q * 100 + n)
-    count = len(obstruction._candidates(q, n, order))
-    everything = np.arange(count)
-    # a proper subset that skips the first subgroups, as the
-    # self-annihilating filter does
-    subset = np.flatnonzero(rng.random(count) < 0.4)
-    subset = subset[subset > 0]
-    assert 0 < len(subset) < count - 1
     walked = vanished = 0
     for density in (0.02, 0.1, 0.3, 0.7):
         for _ in range(4):
             good = rng.random(q ** n) < density
-            for rows in (everything, subset):
-                first, bad = obstruction._first_witnesses(q, n, order, rows, good)
-                codes, failed = _scalar_first_match(q, n, order, rows.tolist(), good)
-                assert bad == failed
-                if codes is None:
-                    assert first is None
-                    vanished += 1
-                else:
-                    assert first.tolist() == codes
-                    walked += 1
+            first, bad = obstruction._first_witnesses(q, n, order, None, good)
+            codes, failed = _scalar_first_match(q, n, order, good)
+            assert bad == failed
+            if codes is None:
+                assert first is None
+                vanished += 1
+            else:
+                assert first.tolist() == codes
+                walked += 1
     assert walked and vanished
     # an all-false mask: every subgroup vanishes, the first one is reported
     none = np.zeros(q ** n, dtype=bool)
-    assert obstruction._first_witnesses(q, n, order, everything, none) == (None, 0)
-    assert obstruction._first_witnesses(q, n, order, subset, none) == (None, 0)
-    # nothing swept: no witness is needed
-    first, bad = obstruction._first_witnesses(
-        q, n, order, everything[:0], none)
-    assert len(first) == 0 and bad is None
+    assert obstruction._first_witnesses(q, n, order, None, none) == (None, 0)
 
 
 def test_vanishing_subgroup_is_the_first_in_enumeration_order():
@@ -463,7 +449,7 @@ def test_vanishing_subgroup_is_the_first_in_enumeration_order():
     dup = (kc.mirror(kc.torus(2, 3)), kc.mirror(kc.torus(2, 3)))
     inst = kc.ObstructionInstance(wh11(), kc.CGProfile.zero(), dup, dup, 3, 1)
     subs = kc.enumerate_subgroups((3,) * 4, 9)
-    mask = obstruction._self_annihilating_mask(inst, subs)
+    mask = self_annihilating_mask(inst, subs)
 
     def vanishes(s):
         return all(kc.obstruction_sum(inst, _chis(e)) == 0 for e in s.elements())
@@ -482,7 +468,7 @@ def test_filtered_sweep_matches_first_witness_oracle():
     inst, kwargs, _ = _digest_case("self-annihilating")
     res = kc.check_slice_obstruction(inst, **kwargs)
     subs = kc.enumerate_subgroups((3,) * inst.total, 3 ** (inst.total // 2))
-    mask = obstruction._self_annihilating_mask(inst, subs).tolist()
+    mask = self_annihilating_mask(inst, subs)
     witnesses, failed = _first_witness_oracle(inst, keep=mask)
     assert failed is None and res.witnesses == tuple(
         witness_json(*w) for w in witnesses)
@@ -498,20 +484,30 @@ def test_filtered_sweep_matches_first_witness_oracle():
     (1, 2, (2, 2), 7, 1, 2850, 16),
     (1, -2, (2, 2), 3, 2, 12091, 41),
     (1, -2, (1, 1), 3, 2, 13, 3),
+    (1, -2, (3, 1), 3, 2, 12091, 11),
+    (1, -6, (1, 1), 5, 2, 31, 3),
+    (1, -6, (2, 2), 5, 2, 527931, 97),
+    (1, -12, (2, 0), 7, 2, 57, 1),
 ], ids=["z3-3+3", "z3-4+2", "z3-2+2", "z5-2+2", "z5-3+1", "z7-2+2",
-        "z9-2+2", "z9-1+1"])
+        "z9-2+2", "z9-1+1", "z9-3+1", "z25-1+1", "z25-2+2", "z49-2+0"])
 def test_self_annihilating_mask_matches_fraction_oracle(
         a, b, signs, p, k, count, isotropic):
+    # the isotropic enumeration is the full one filtered by the Fraction
+    # Gram oracle: the same gens in the same order
     u = kc.unknot()
     inst = kc.ObstructionInstance(
         kc.whitehead_cover(a, b), kc.CGProfile.zero(),
         (u,) * signs[0], (u,) * signs[1], p, k
     )
     q, total = p ** k, sum(signs)
-    subs = kc.enumerate_subgroups((q,) * total, p ** (k * total // 2))
-    mask = obstruction._self_annihilating_mask(inst, subs)
-    assert len(subs) == count and int(mask.sum()) == isotropic
-    assert mask.tolist() == self_annihilating_mask(inst, subs)
+    order = p ** (k * total // 2)
+    subs = kc.enumerate_subgroups((q,) * total, order)
+    iso = kc.enumerate_subgroups((q,) * total, order,
+                                 form=obstruction._isotropy_form(inst))
+    assert len(subs) == count and len(iso) == isotropic
+    mask = self_annihilating_mask(inst, subs)
+    assert [s.gens for s in iso] == [
+        s.gens for s, keep in zip(subs, mask) if keep]
 
 
 def test_witness_cap_digest_commits_to_full_list():

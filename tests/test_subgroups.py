@@ -146,14 +146,15 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
     # (Z_9)^3 mixes row-order patterns: (9, 3), (3, 9) and (3, 3, 3) at
     # order 27; at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a
     # row count
-    subs = obstruction._candidates(q, n, order)
+    subs = obstruction._candidates(q, n, order, None)
     assert [s.gens for s in subs] == [
         s.gens for s in kc.enumerate_subgroups((q,) * n, order)
     ]
     if q == 9:
         assert len({s.row_orders() for s in subs}) > 1
     place = [q ** (n - 1 - i) for i in range(n)]
-    columns = [obstruction._grid_column(q, n, order, j) for j in range(order)]
+    columns = [obstruction._grid_column(q, n, order, None, j)
+               for j in range(order)]
     assert all(c.dtype.kind == "u" and c.shape == (len(subs),) for c in columns)
     # the smallest unsigned dtype that holds every code
     assert q ** n - 1 <= np.iinfo(columns[0].dtype).max < (q ** n - 1) * 256
@@ -162,7 +163,7 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
         assert [int(c[i]) for c in columns] == codes
     # a column is built once per family while its cache holds it: the last
     # column built stays under the 16-entry bound, at order 81 too
-    assert obstruction._grid_column(q, n, order, order - 1) is columns[-1]
+    assert obstruction._grid_column(q, n, order, None, order - 1) is columns[-1]
     # the batch arrays the columns are built from place every form once,
     # at the sorted index of its Subgroup
     placed = []
