@@ -137,7 +137,7 @@ class CoverPresentation:
 
     group: FiniteAbelianGroup
     sym: tuple                 # V + V^T
-    u_rows: tuple              # change of basis: coords(z) = (U z) mod diag
+    u_rows: tuple              # U's rows at positions: coords(z) = (U z) mod diag
     positions: tuple           # indices of nontrivial diagonal entries
     diag: tuple
     generator_lifts: tuple     # integer vectors mapping onto the generators
@@ -146,8 +146,8 @@ class CoverPresentation:
     def coords(self, z):
         z = tuple(int(v) for v in z)
         assert len(z) == len(self.sym)
-        uz = [sum(r * v for r, v in zip(row, z)) for row in self.u_rows]
-        return tuple(uz[i] % self.diag[i] for i in self.positions)
+        return tuple(sum(r * v for r, v in zip(row, z)) % self.diag[i]
+                     for row, i in zip(self.u_rows, self.positions))
 
     def linking(self, x, y):
         if self.group.is_trivial:
@@ -186,13 +186,13 @@ def _presentation(sym):
         return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), (), ())
     diag, u_rows, w_rows = smith_normal_form(sym)
     diag = tuple(diag)
-    u_rows = tuple(tuple(r) for r in u_rows)
     assert all(d > 0 for d in diag), "V + V^T is nonsingular for genuine knots"
     det = 1
     for d in diag:
         det *= d
     assert det % 2 == 1, "double branched cover homology has odd order"
     positions = tuple(i for i, d in enumerate(diag) if d > 1)
+    u_rows = tuple(tuple(u_rows[p]) for p in positions)
     group = FiniteAbelianGroup(tuple(diag[i] for i in positions))
     w_cols = [[row[p] for row in w_rows] for p in positions]
     lifts = []
