@@ -488,8 +488,12 @@ def test_filtered_sweep_matches_first_witness_oracle():
     (1, -6, (1, 1), 5, 2, 31, 3),
     (1, -6, (2, 2), 5, 2, 527931, 97),
     (1, -12, (2, 0), 7, 2, 57, 1),
+    (1, 2, (4, 0), 7, 1, 2850, 16),
+    (1, -2, (2, 0), 3, 2, 13, 1),
+    (1, -2, (4, 0), 3, 2, 12091, 41),
 ], ids=["z3-3+3", "z3-4+2", "z3-2+2", "z5-2+2", "z5-3+1", "z7-2+2",
-        "z9-2+2", "z9-1+1", "z9-3+1", "z25-1+1", "z25-2+2", "z49-2+0"])
+        "z9-2+2", "z9-1+1", "z9-3+1", "z25-1+1", "z25-2+2", "z49-2+0",
+        "z7-4+0", "z9-2+0", "z9-4+0"])
 def test_self_annihilating_mask_matches_fraction_oracle(
         a, b, signs, p, k, count, isotropic):
     # the isotropic enumeration is the full one filtered by the Fraction
