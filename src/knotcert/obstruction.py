@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import lcm
 
@@ -586,6 +586,7 @@ class SliceObstructionResult:
     witnesses: tuple = ()
     witness_digest: str = None
     failed_subgroup: tuple = None
+    self_annihilating_only: bool = False
 
     @property
     def inconclusive(self):
@@ -611,13 +612,14 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     """
     q = inst.p ** inst.k
     total = inst.total
+    result = partial(SliceObstructionResult, p=inst.p, k=inst.k, total=total,
+                     self_annihilating_only=self_annihilating_only)
     if total == 0:
-        return SliceObstructionResult(
-            False, "empty-instance", inst.p, inst.k, 0, 0)
+        return result(False, "empty-instance", subgroup_count=0)
     if (inst.k * total) % 2 == 1:
         # |H1|_p = p^{k(m+n)} is not a perfect square, but slice knots
         # have square cover homology order: obstructed with no search
-        return SliceObstructionResult(True, "parity", inst.p, inst.k, total, 0)
+        return result(True, "parity", subgroup_count=0)
     if q ** total > max_group_order:
         raise BudgetExceeded(
             f"ambient character group has order {q}^{total} > "
@@ -637,19 +639,15 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     first, bad = _first_witnesses(
         q, total, target, form, (sum_lo > 0) | (sum_hi < 0))
     if first is None:
-        return SliceObstructionResult(
-            False, "vanishing-subgroup", inst.p, inst.k, total, len(subs),
-            failed_subgroup=subs[bad].gens,
-        )
+        return result(False, "vanishing-subgroup", subgroup_count=len(subs),
+                      failed_subgroup=subs[bad].gens)
     texts = _witness_texts(q, total, target, form, first, sum_lo, sum_hi, den)
     if witness_cap is not None and len(subs) > witness_cap:
         digest, witnesses = witness_list_digest(texts), ()
     else:
         digest, witnesses = None, tuple(json.loads(b"[" + b",".join(texts) + b"]"))
-    return SliceObstructionResult(
-        True, "witnessed", inst.p, inst.k, total, len(subs),
-        witnesses=witnesses, witness_digest=digest,
-    )
+    return result(True, "witnessed", subgroup_count=len(subs),
+                  witnesses=witnesses, witness_digest=digest)
 
 
 # ---------------------------------------------------------------------------
