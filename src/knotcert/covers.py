@@ -137,7 +137,7 @@ class CoverPresentation:
 
     group: FiniteAbelianGroup
     sym: tuple                 # V + V^T
-    u_rows: tuple              # U's rows at positions: coords(z) = (U z) mod diag
+    u_rows: tuple              # U's rows at positions: coords(z) = (U z) mod factors
     positions: tuple           # indices of nontrivial diagonal entries
     diag: tuple
     generator_lifts: tuple     # integer vectors mapping onto the generators
@@ -146,8 +146,8 @@ class CoverPresentation:
     def coords(self, z):
         z = tuple(int(v) for v in z)
         assert len(z) == len(self.sym)
-        return tuple(sum(r * v for r, v in zip(row, z)) % self.diag[i]
-                     for row, i in zip(self.u_rows, self.positions))
+        return tuple(sum(r * v for r, v in zip(row, z)) % d
+                     for row, d in zip(self.u_rows, self.group.factors))
 
     def linking(self, x, y):
         if self.group.is_trivial:
