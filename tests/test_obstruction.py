@@ -333,6 +333,7 @@ def test_self_annihilating_filter_narrows_candidates():
     res_sa = kc.check_slice_obstruction(inst, self_annihilating_only=True)
     assert res_all.subgroup_count == 4
     assert res_sa.subgroup_count == 2
+    assert res_sa.self_annihilating_only
     sa_gens = {_gens(w) for w in res_sa.witnesses}
     assert sa_gens == {((1, 1),), ((1, 2),)}
     assert sa_gens <= {_gens(w) for w in res_all.witnesses}
@@ -512,6 +513,54 @@ def test_self_annihilating_mask_matches_fraction_oracle(
     mask = self_annihilating_mask(inst, subs)
     assert [s.gens for s in iso] == [
         s.gens for s, keep in zip(subs, mask) if keep]
+
+
+def _metabolizer_count(p, signs):
+    """Metabolizers of diag(+1 x signs[0], -1 x signs[1]) on (Z_{p^2})^N.
+
+    Sum over j of I_j p^{j(j-1)/2}, where I_j counts the totally
+    isotropic j-dimensional subspaces of F_p^N (Balmaceda, Betty and
+    Nemenzo, "Mass formula for self-dual codes over Z_{p^2}", 2008).
+    For N = 2m the form is "plus" when (-1)^m times the product of the
+    signs is a square mod p; for N = 2m + 1 the type does not matter.
+    """
+    big = sum(signs)
+    m = big // 2
+    if big % 2:
+        factors = [(p ** (2 * (m - i)) - 1, p ** (i + 1) - 1) for i in range(m)]
+    else:
+        eps = 1 if pow((-1) ** (m + signs[1]) % p, (p - 1) // 2, p) == 1 else -1
+        factors = [((p ** (m - i) - eps) * (p ** (m - i - 1) + eps),
+                    p ** (i + 1) - 1) for i in range(m)]
+    total = isotropic = 1
+    for j, (num, den) in enumerate(factors, start=1):
+        assert isotropic * num % den == 0
+        isotropic = isotropic * num // den
+        total += isotropic * p ** (j * (j - 1) // 2)
+    return total
+
+
+@pytest.mark.parametrize("signs,count", [
+    ((1, 0), 1), ((1, 1), 3), ((2, 0), 1), ((2, 1), 5), ((3, 1), 11),
+    ((2, 2), 41), ((3, 2), 161), ((3, 3), 3851), ((4, 2), 953),
+], ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_pruned_z9_family_matches_metabolizer_count(signs, count):
+    # every split of the Z_9 family at budget 6 and per-side cap 3 (up to
+    # swapping the sides) and one more of (Z_9)^6, past what the full
+    # enumeration can hold: the pruned recursion against the closed form
+    u = kc.unknot()
+    inst = kc.ObstructionInstance(
+        kc.whitehead_cover(1, -2), kc.CGProfile.zero(),
+        (u,) * signs[0], (u,) * signs[1], 3, 2
+    )
+    signs_, b = obstruction._isotropy_form(inst)
+    assert b == 9 and signs_ == (1,) * signs[0] + (-1,) * signs[1]
+    total = sum(signs)
+    iso = kc.enumerate_subgroups((9,) * total, 3 ** total,
+                                 form=(signs_, b))
+    assert _metabolizer_count(3, signs) == count
+    assert len(iso) == count
+    assert len({s.gens for s in iso}) == count
 
 
 def test_witness_cap_digest_commits_to_full_list():
