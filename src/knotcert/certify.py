@@ -17,10 +17,10 @@ not share the vectorized search code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
+from ._frozen import frozen
 from .errors import (
     CertificationInconclusive,
     EmptySelectionError,
@@ -70,7 +70,7 @@ def _fresh_witness(w):
             "value": dict(value) if isinstance(value, dict) else value}
 
 
-@dataclass(frozen=True)
+@frozen
 class ComboRecord:
     coefficients: tuple
     reason: str
@@ -93,7 +93,7 @@ class ComboRecord:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class IndependenceCertificate:
     mode: str
     pattern: PatternCover

@@ -17,19 +17,19 @@ Q/Z is always 1 -> 1/n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from ._frozen import frozen
 from .errors import HypothesisViolation
 from .knots import SeifertMatrix
 from .polynomials import prime_powers
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteAbelianGroup:
     """Z_{d1} x ... x Z_{dr} with d1 | d2 | ... | dr, all > 1."""
 
@@ -92,7 +92,7 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z_{d}" for d in self.factors)
 
 
-@dataclass(frozen=True)
+@frozen
 class Character:
     """Homomorphism G -> Q/Z by values on invariant-factor generators."""
 
@@ -101,7 +101,7 @@ class Character:
     def __post_init__(self):
         vals = tuple(Fraction(v) % 1 for v in self.values)
         object.__setattr__(self, "values", vals)
-        # the hash the dataclass would compute, once: characters key the
+        # the hash frozen would compute, once: characters key the
         # obstruction caches and memos, and hashing Fractions is not free
         object.__setattr__(self, "_hash", hash((vals,)))
 
@@ -131,15 +131,13 @@ class Character:
         return tuple((v.numerator, v.denominator) for v in self.values)
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverPresentation:
     """Homology of the double branched cover with explicit coordinates."""
 
     group: FiniteAbelianGroup
     sym: tuple                 # V + V^T
-    u_rows: tuple              # U's rows at positions: coords(z) = (U z) mod factors
-    positions: tuple           # indices of nontrivial diagonal entries
-    diag: tuple
+    u_rows: tuple              # U's rows for the factors: coords(z) = (U z) mod factors
     generator_lifts: tuple     # integer vectors mapping onto the generators
     linking_matrix: tuple      # r x r Fractions mod 1 on the generators
 
@@ -183,9 +181,8 @@ def _presentation(sym):
     """
     n = len(sym)
     if n == 0:
-        return CoverPresentation(FiniteAbelianGroup(()), (), (), (), (), (), ())
+        return CoverPresentation(FiniteAbelianGroup(()), (), (), (), ())
     diag, u_rows, w_rows = smith_normal_form(sym)
-    diag = tuple(diag)
     assert all(d > 0 for d in diag), "V + V^T is nonsingular for genuine knots"
     det = 1
     for d in diag:
@@ -207,8 +204,7 @@ def _presentation(sym):
         )
         for g in lifts
     )
-    return CoverPresentation(
-        group, sym, u_rows, positions, diag, tuple(lifts), linking)
+    return CoverPresentation(group, sym, u_rows, tuple(lifts), linking)
 
 
 @lru_cache(maxsize=64)
@@ -256,7 +252,7 @@ def characters_of_order(group, p, max_power=None):
     return chars
 
 
-@dataclass(frozen=True)
+@frozen
 class PatternCover:
     """Cover data of a satellite pattern: H1(M2(P(U))) and the axis curves."""
 

@@ -18,14 +18,14 @@ so e.g.  mirror(3*torus(2,5) # torus(2,3)).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._frozen import frozen
 from .errors import ExpressionError
 from .polynomials import IntPoly, det_int, det_poly
 
 
-@dataclass(frozen=True)
+@frozen
 class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = +1.
 
@@ -164,18 +164,18 @@ EMPTY_SEIFERT = SeifertMatrix(())
 # expression tree
 
 class KnotExpr:
-    """Base class; concrete nodes below are frozen dataclasses."""
+    """Base class; concrete nodes below are frozen value classes (_frozen)."""
 
     def __str__(self):
         return expr_str(self)
 
 
-@dataclass(frozen=True)
+@frozen
 class Unknot(KnotExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Torus(KnotExpr):
     strands: int
     n: int
@@ -187,23 +187,23 @@ class Torus(KnotExpr):
             raise ExpressionError("torus(2, n) needs odd n >= 3")
 
 
-@dataclass(frozen=True)
+@frozen
 class RawKnot(KnotExpr):
     matrix: SeifertMatrix
 
 
-@dataclass(frozen=True)
+@frozen
 class Mirror(KnotExpr):
     inner: KnotExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class ConnectedSum(KnotExpr):
     left: KnotExpr
     right: KnotExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class Multiple(KnotExpr):
     count: int
     inner: KnotExpr

@@ -26,7 +26,6 @@ when its whole interval lies on one side of 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
@@ -34,6 +33,7 @@ from math import lcm
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import BudgetExceeded, HypothesisViolation, ProfileError
 from .covers import Character, PatternCover
 from .knots import KnotExpr
@@ -42,7 +42,7 @@ from .signatures import levine_tristram
 from .subgroups import enumerate_subgroups
 
 
-@dataclass(frozen=True)
+@frozen
 class RatInterval:
     """Closed rational interval; degenerate intervals model exact values."""
 
@@ -95,7 +95,7 @@ def _orbit_key(values):
     return min(fwd, bwd)
 
 
-@dataclass(frozen=True)
+@frozen
 class CGProfile:
     """taubar_{P(U)} data: exact per-orbit values or a uniform bound."""
 
@@ -219,7 +219,7 @@ def satellite_cg_value(profile, cover, chi, companion):
     return _cg_interval(profile, cover, chi, companion).unwrap()
 
 
-@dataclass(frozen=True)
+@frozen
 class ObstructionInstance:
     """#_i P(K_i) # -(#_j P(L_j)) with its prime-power character data."""
 
@@ -312,10 +312,18 @@ def obstruction_sum(inst, chi_tuple, terms=None):
 # vectorized witness search over all candidate metabolizers
 
 
-@lru_cache(maxsize=8)
-def _vectors(q, n):
-    """[q^n, n] int64 array whose row i is the vector with base-q code i."""
-    return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+def _by_code(op, start, columns):
+    """op folded over columns[j][digit j], for every base-q code at once.
+
+    start is a one-entry array.  Digit 0 is the most significant, so the
+    codes of the first j + 1 digits are those of the first j times q
+    plus digit j: each column is one broadcast op onto the array so far,
+    and the result is indexed by code, with no [q^n, n] digit table.
+    """
+    out = start
+    for col in columns:
+        out = op(out[:, None], col).ravel()
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -473,9 +481,12 @@ def _row_texts(q, n):
     one more entry, the empty text at code q^n, which stands for a row
     a generator matrix does not have.
     """
-    plain = [_int_list_text(v).encode() for v in _vectors(q, n).tolist()]
-    comma = [b"," + t for t in plain] + [b""]
-    return np.array(plain), np.array(comma)
+    digits = np.array([str(d).encode() for d in range(q)])
+    after_comma = _concat(b",", digits)
+    columns = [after_comma if j else digits for j in range(n)]
+    plain = _concat(_by_code(_concat, np.array([b"["]), columns), b"]")
+    comma = np.append(_concat(b",", plain), b"")
+    return plain, comma
 
 
 @lru_cache(maxsize=8)
@@ -566,7 +577,7 @@ def witness_list_digest(texts):
     return sha.hexdigest()
 
 
-@dataclass(frozen=True)
+@frozen
 class SliceObstructionResult:
     """Outcome of the metabolizer sweep; never claims sliceness.
 
@@ -632,10 +643,9 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
     # the obstruction sum of every character tuple, by base-q code, so
     # each subgroup member's sum is one lookup: at most q^total entries,
     # which max_group_order caps
-    vecs = _vectors(q, total)
-    cols = np.arange(total)
-    sum_lo = lo_t[cols, vecs].sum(axis=1)
-    sum_hi = hi_t[cols, vecs].sum(axis=1)
+    start = np.zeros(1, dtype=np.int64)
+    sum_lo = _by_code(np.add, start, lo_t)
+    sum_hi = _by_code(np.add, start, hi_t)
     first, bad = _first_witnesses(
         q, total, target, form, (sum_lo > 0) | (sum_hi < 0))
     if first is None:
@@ -663,7 +673,7 @@ def _prime_power_characters(group_order):
     return chars
 
 
-@dataclass(frozen=True)
+@frozen
 class SelectionReport:
     """Greedy subsequence whose CG value ranges form a strict chain."""
 

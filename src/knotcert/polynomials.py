@@ -9,9 +9,10 @@ counts), so everything stays in Z or Q.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._frozen import frozen
 
 
 def _trim(coeffs):
@@ -76,15 +77,18 @@ def _qdivmod(a, b):
     return _trim(quo), _trim(rem[:top])
 
 
-@dataclass(frozen=True)
+@frozen
 class IntPoly:
     """Dense integer polynomial, coefficients lowest degree first."""
 
     coeffs: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-        assert all(isinstance(c, int) for c in self.coeffs)
+    # written out, not frozen's generic one: the signature and
+    # Alexander engines build IntPolys in their inner loops
+    def __init__(self, coeffs=()):
+        coeffs = _trim(coeffs)
+        assert all(isinstance(c, int) for c in coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def degree(self):

@@ -36,13 +36,13 @@ functions (jump locus + interval values) through signature_function.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import (
     ExpressionError,
     HypothesisViolation,
@@ -66,7 +66,7 @@ from .polynomials import (
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@frozen
 class CirclePoint:
     """Rational point x = j/p of the unit circle, stored reduced in [0, 1)."""
 
@@ -461,7 +461,7 @@ def levine_tristram(e, x):
 # ---------------------------------------------------------------------------
 # signature step functions
 
-@dataclass(frozen=True)
+@frozen(uncompared=("den_bound",))
 class SignatureFunction:
     """Step function on (0, 1/2], extended by sigma_x = sigma_{1-x}.
 
@@ -474,7 +474,7 @@ class SignatureFunction:
     jumps: tuple
     interval_values: tuple
     jump_values: tuple
-    den_bound: int = field(compare=False, default=2)
+    den_bound: int = 2
 
     def __post_init__(self):
         assert len(self.interval_values) == len(self.jumps) + 1
@@ -602,7 +602,7 @@ def satellite_signature_function(w, pattern_sig, companion, den_bound=None):
 # ---------------------------------------------------------------------------
 # ordering hypothesis
 
-@dataclass(frozen=True)
+@frozen
 class OrderingCheck:
     """Verdict and ledger for the signature ordering chain at level n.
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import HypothesisViolation
 from .covers import FiniteAbelianGroup
 from .polynomials import prime_powers
@@ -111,7 +111,7 @@ def howell_form(rows, n, modulus):
     return tuple(tuple(r) for r in pivot_rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class Subgroup:
     """Subgroup of (Z_modulus)^n given by canonical echelon generators."""
 
@@ -141,18 +141,21 @@ class Subgroup:
         return tuple(p ** (k - v) for _, v in self.pivot_data)
 
     def elements(self):
-        """All elements, each exactly once (triangular generator set)."""
+        """Yield all elements, each exactly once (triangular generator set).
+
+        A generator, so a walk that stops at its first witness builds no
+        more elements than it reads; take list() to read them twice.
+        """
         if not self.gens:
-            return [(0,) * self.n]
-        out = []
+            yield (0,) * self.n
+            return
         for coeffs in product(*(range(o) for o in self.row_orders())):
             vec = [0] * self.n
             for c, row in zip(coeffs, self.gens):
                 if c:
                     for j in range(self.n):
                         vec[j] = (vec[j] + c * row[j]) % self.modulus
-            out.append(tuple(vec))
-        return out
+            yield tuple(vec)
 
     def contains(self, vec):
         if not self.gens:

@@ -190,7 +190,7 @@ def test_criterion_07_projection_properties_on_all_subgroups():
         for j in range(big_n * k + 1):
             for sub in kc.enumerate_subgroups(shape, p ** j):
                 checked += 1
-                els = sub.elements()
+                els = list(sub.elements())
                 zero_a = (0,) * half
                 zero_b = (0,) * (big_n - half)
                 meets_b = any(e[:half] == zero_a and e[half:] != zero_b

@@ -45,9 +45,8 @@ def test_cover_order_is_determinant(e):
 
 def test_presentation_positions_and_diag():
     pres = kc.cover_presentation(kc.evaluate(kc.torus(2, 3)))
-    assert pres.diag == (1, 3)
-    assert pres.positions == (1,)
     assert pres.group.factors == (3,)
+    assert len(pres.u_rows) == 1
 
 
 @given(knot_exprs(max_size=16))

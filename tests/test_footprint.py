@@ -3,9 +3,10 @@
 A long-lived process that meets many distinct knots (the signature
 engine on dense Seifert matrices, say) must not keep every one of them,
 a process that never hashes a witness digest must not load OpenSSL, no
-process may load mpmath, a certify job must not load numpy.ma, the
-sweep must code only the candidate members it reads, and the digest
-must keep no text per candidate.
+process may load mpmath, importing the CLI must not load dataclasses,
+a certify job must not load numpy.ma, the sweep must code only the
+candidate members it reads, and the digest must keep no text per
+candidate.
 """
 
 import importlib
@@ -82,6 +83,27 @@ def test_hashlib_is_not_loaded_without_a_digest():
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NO_HASHLIB], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_DATACLASSES = """
+import sys
+before = set(sys.modules)
+import knotcert.cli
+added = set(sys.modules) - before
+assert "dataclasses" not in added, "import knotcert.cli loaded dataclasses"
+"""
+
+
+def test_dataclasses_is_not_loaded_by_the_import():
+    # the value classes are built by knotcert._frozen, which compiles no
+    # code; modules the interpreter loaded before the import do not count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_DATACLASSES], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -167,8 +189,8 @@ def test_family_caches_are_bounded():
             if hasattr(fn, "cache_parameters"):
                 caches[fn.__module__, fn.__qualname__] = fn
     names = {name for _, name in caches}
-    assert {"_vectors", "_candidates", "_grid_column", "_row_texts",
-            "_gen_codes", "cyclotomic"} <= names, names
+    assert {"_candidates", "_grid_column", "_row_texts", "_gen_codes",
+            "cyclotomic"} <= names, names
     for (module, name), fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, (module, name)
 

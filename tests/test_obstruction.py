@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import numpy as np
@@ -350,12 +351,13 @@ def _first_witness_oracle(inst, keep=None):
     q = inst.p ** inst.k
     target = inst.p ** (inst.k * inst.total // 2)
     subs = kc.enumerate_subgroups((q,) * inst.total, target)
+    characters = [Character((Fraction(c, q),)) for c in range(q)]
     witnesses = []
     for s, kept in zip(subs, keep or [True] * len(subs)):
         if not kept:
             continue
         for e in s.elements():
-            chis = tuple(Character((Fraction(c, q),)) for c in e)
+            chis = tuple(characters[c] for c in e)
             value = kc.obstruction_sum(inst, chis)
             if (kc.RatInterval.point(0) + value).excludes_zero:
                 witnesses.append((s.gens, e, value))
@@ -406,7 +408,7 @@ def test_sweep_matches_first_witness_oracle():
 
 
 def _scalar_first_match(q, n, order, good):
-    """The column walk's answer, one Subgroup.elements() list at a time."""
+    """The column walk's answer, one Subgroup.elements() walk at a time."""
     subs = kc.enumerate_subgroups((q,) * n, order)
     place = [q ** (n - 1 - i) for i in range(n)]
     codes = []
@@ -663,16 +665,8 @@ def test_capped_digest_matches_dict_oracle(name):
     keep = None
     if kwargs.get("self_annihilating_only"):
         keep = self_annihilating_mask(inst, subs)
-    if name == "z11":
-        # the walk over all 16,226 subgroups takes seconds: walk the
-        # first 1,024, and hash the oracle's dicts of every witness's parts
-        keep = [i < 1024 for i in range(len(subs))]
-        assert full.witnesses[:1024] == _oracle_dicts(inst, keep)
-        expect = [witness_json(_gens(w), w["chi"], _value(w))
-                  for w in full.witnesses]
-    else:
-        expect = _oracle_dicts(inst, keep)
-    assert full.witnesses == tuple(expect)
+    expect = _oracle_dicts(inst, keep)
+    assert full.witnesses == expect
     assert capped.witness_digest == _dict_oracle_digest(expect)
     if prop is not None:
         assert any(map(prop, full.witnesses))
@@ -683,6 +677,24 @@ def test_capped_digest_matches_dict_oracle(name):
         everything = kc.check_slice_obstruction(inst)
         assert full.subgroup_count < everything.subgroup_count
         assert full.witnesses[0]["subgroup"] != everything.witnesses[0]["subgroup"]
+
+
+@pytest.mark.parametrize("q,n", [(3, 6), (7, 4), (9, 3), (11, 4)])
+def test_tables_by_code_match_the_vector_list(q, n):
+    # dual route: _row_texts and the sweep's sum tables are built one
+    # column at a time; the oracle writes each vector of (Z_q)^n, in
+    # base-q code order, as its own list entry and sums its row
+    vectors = list(product(range(q), repeat=n))
+    plain = [obstruction._int_list_text(v).encode() for v in vectors]
+    comma = [b"," + t for t in plain] + [b""]
+    got_plain, got_comma = obstruction._row_texts(q, n)
+    for got, expect in ((got_plain, np.array(plain)), (got_comma, np.array(comma))):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    table = np.array([[(7 * a * c + 3 * a) % 11 - 5 for c in range(q)]
+                      for a in range(n)], dtype=np.int64)
+    sums = obstruction._by_code(np.add, np.zeros(1, dtype=np.int64), table)
+    assert sums.tolist() == [sum(table[a][c] for a, c in enumerate(v))
+                             for v in vectors]
 
 
 def test_digest_of_an_empty_swept_family():

@@ -76,7 +76,7 @@ def test_howell_form_is_canonical_for_the_span(shape, data):
 def test_subgroup_elements_consistency():
     for factors, order in (((3, 3), 3), ((9, 9), 9), ((2, 2, 2, 2), 4)):
         for sub in kc.enumerate_subgroups(factors, order):
-            els = sub.elements()
+            els = list(sub.elements())
             assert len(els) == order == sub.order
             assert len(set(els)) == order
             q = factors[0]
@@ -247,7 +247,7 @@ def test_large_prime_order_is_checked_without_factoring(capsys):
 # projection bookkeeping used by the satellite obstruction
 
 def split_projections(sub, half):
-    els = sub.elements()
+    els = list(sub.elements())
     proj_a = {e[:half] for e in els}
     meets_b = any(
         all(x == 0 for x in e[:half]) and any(x != 0 for x in e[half:])
@@ -269,7 +269,7 @@ def test_trivial_intersection_makes_projection_injective(q, n_total, order):
     # intersections vanish the projections to either side are injective
     half = n_total // 2
     for sub in kc.enumerate_subgroups((q,) * n_total, order):
-        els = sub.elements()
+        els = list(sub.elements())
         proj_a, meets_a, meets_b = split_projections(sub, half)
         if not meets_b:
             assert len(proj_a) == len(els), sub
