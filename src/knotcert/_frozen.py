@@ -26,6 +26,10 @@ compiled per class, which is what makes these classes cheap to import.
 
 from operator import attrgetter
 
+# sets a field past the class's own __setattr__; unlike writing to
+# self.__dict__, it does not give each instance a dict of its own
+_store = object.__setattr__
+
 
 def frozen(cls=None, *, uncompared=()):
     """Class decorator; use as @frozen or @frozen(uncompared=(...))."""
@@ -44,7 +48,8 @@ def _build(cls, uncompared):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
             args = _bind(type(self).__name__, names, defaults, args, kwargs)
-        self.__dict__.update(zip(names, args))
+        for name, value in zip(names, args):
+            _store(self, name, value)
         if has_post_init:
             self.__post_init__()
 

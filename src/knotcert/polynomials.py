@@ -88,7 +88,7 @@ class IntPoly:
     def __init__(self, coeffs=()):
         coeffs = _trim(coeffs)
         assert all(isinstance(c, int) for c in coeffs)
-        self.__dict__["coeffs"] = coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self):

@@ -347,18 +347,22 @@ def _first_witness_oracle(inst, keep=None):
     keep entry is true, when keep is given) through the scalar
     obstruction_sum; the witness is the first element whose sum
     excludes 0, and the first subgroup without one fails the sweep.
+    Each distinct element's sum is computed once, on its first visit.
     """
     q = inst.p ** inst.k
     target = inst.p ** (inst.k * inst.total // 2)
     subs = kc.enumerate_subgroups((q,) * inst.total, target)
     characters = [Character((Fraction(c, q),)) for c in range(q)]
+    sums = {}
     witnesses = []
     for s, kept in zip(subs, keep or [True] * len(subs)):
         if not kept:
             continue
         for e in s.elements():
-            chis = tuple(characters[c] for c in e)
-            value = kc.obstruction_sum(inst, chis)
+            value = sums.get(e)
+            if value is None:
+                value = sums[e] = kc.obstruction_sum(
+                    inst, tuple(characters[c] for c in e))
             if (kc.RatInterval.point(0) + value).excludes_zero:
                 witnesses.append((s.gens, e, value))
                 break
