@@ -331,9 +331,8 @@ def _candidates(q, n, order, form):
     """The subgroups of (Z_q)^n of the order, isotropic for form if given.
 
     Every family cache takes form positionally, so a family has one key.
-    The sweep and the digest read its forms per batch from subs.batches,
-    without a copy: a batch shares one pivot pattern, hence one tuple of
-    row orders.
+    The sweep and the digest read its padded forms and row orders
+    (subs.forms, subs.orders) without a copy, in the sorted order.
     """
     return enumerate_subgroups((q,) * n, order, form=form)
 
@@ -345,27 +344,31 @@ def _grid_column(q, n, order, form, j):
 
     Member j is the j-th point of the coefficient grid that
     Subgroup.elements() walks; every candidate has exactly order points.
-    It is built batch by batch of _candidates: one coefficient vector,
-    given by the batch's row orders, applied to its forms' rows.  Codes
-    use the smallest unsigned dtype holding q^n - 1.
+    Its coefficients are j's mixed-radix digits in each candidate's row
+    orders, last row fastest, for all candidates at once; a pad row has
+    order 1, so digit 0, and a row slot whose digits are all 0 is
+    skipped.  Codes use the smallest unsigned dtype holding q^n - 1.
     """
     subs = _candidates(q, n, order, form)
+    forms, orders = subs.forms, subs.orders
+    # a coordinate before its one reduction mod q sums s products < q^2
+    wide = np.promote_types(
+        forms.dtype, np.min_scalar_type(-forms.shape[1] * (q - 1) ** 2))
+    # coordinate-major, with each product written in that layout too
+    member = np.zeros((n, len(forms)), dtype=wide)
+    term = np.empty_like(member)
+    rest = np.full(len(forms), j, dtype=np.min_scalar_type(order))
+    for r in range(forms.shape[1] - 1, -1, -1):
+        if not rest.any():
+            break
+        rest, c = np.divmod(rest, orders[:, r])
+        if c.any():
+            member += np.multiply(forms[:, r].T, c.astype(wide), out=term)
+    member -= member // q * q  # numpy vectorizes // by a scalar, not %
     dtype = np.min_scalar_type(q ** n - 1)
-    col = np.empty(len(subs), dtype=dtype)
     place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-    for positions, forms in subs.batches:
-        # each row's leading entry p^v gives its order q / p^v
-        orders = [q // int(row[row != 0][0]) for row in forms[0]]
-        member = np.zeros((len(forms), n), dtype=forms.dtype)
-        for c, row in zip(np.unravel_index(j, orders), forms.transpose(1, 0, 2)):
-            if c:
-                # entries stay below q^2, which the forms' dtype holds
-                member += int(c) * row
-                member %= q
-        # summed in the code dtype, with no wide copy of the members
-        col[positions] = np.einsum("fn,n->f", member, place, dtype=dtype,
-                                   casting="unsafe")
-    return col
+    # summed in the code dtype, with no wide copy of the members
+    return np.einsum("nf,n->f", member, place, dtype=dtype, casting="unsafe")
 
 
 def _first_witnesses(q, n, order, form, good):
@@ -461,11 +464,6 @@ def _isotropy_form(inst):
 # An inline family is those texts parsed as one JSON array, and a
 # digest-only family is the sha256 of that array (witness_list_digest).
 
-def _int_list_text(values):
-    """Canonical JSON text of a list of Python ints."""
-    return "[" + ",".join(map(str, values)) + "]"
-
-
 # byte-string concatenation: np.char.add is the ufunc np.add from numpy
 # 2.0 on, and naming it np.add spares loading numpy.char (about 0.2 MB
 # of memory); numpy 1.x's np.add has no loop for byte strings
@@ -491,22 +489,19 @@ def _row_texts(q, n):
 
 @lru_cache(maxsize=8)
 def _gen_codes(q, n, order, form):
-    """[S, smax] base-q codes of each candidate's generator rows.
+    """[S, s] base-q codes of each candidate's generator rows.
 
     Candidates are in the enumeration order of _candidates, rows in
-    their gens order; a candidate with fewer than smax rows (k >= 2
-    only) is padded with code q^n.  The dtype is the smallest unsigned
-    one holding q^n.
+    their gens order; a pad row (k >= 2 only) has code q^n.  The dtype
+    is the smallest unsigned one holding q^n.
     """
     subs = _candidates(q, n, order, form)
-    smax = max((forms.shape[1] for _, forms in subs.batches), default=0)
     dtype = np.min_scalar_type(q ** n)
-    codes = np.full((len(subs), smax), q ** n, dtype=dtype)
     place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-    for positions, forms in subs.batches:
-        # summed in the code dtype, with no wide copy of the forms
-        codes[positions, :forms.shape[1]] = np.einsum(
-            "frn,n->fr", forms, place, dtype=dtype, casting="unsafe")
+    # summed in the code dtype, with no wide copy of the forms
+    codes = np.einsum("frn,n->fr", subs.forms, place, dtype=dtype,
+                      casting="unsafe")
+    codes[subs.orders == 1] = q ** n
     return codes
 
 

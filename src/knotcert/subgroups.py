@@ -19,15 +19,15 @@ candidate row failing that against a suffix is dropped at once.
 Enumeration counts run to the millions ((Z_9)^5 has 1,288,651
 subgroups of order 243), so the forms are built as integer arrays, a
 whole batch of suffixes with one pivot pattern extended per array
-pass, and stay arrays: enumerate_subgroups sorts them with one
-lexsort and makes a Subgroup object only when one is accessed, while
-the witness search reads the batch arrays directly.  howell_form and
-Subgroup are the scalar reference the tests hold the arrays to.
+pass, and stay arrays: enumerate_subgroups pads them with zero rows to
+one [S, s, n] array, sorts it with one lexsort and makes a Subgroup
+object only when one is accessed, while the witness search reads the
+padded forms and their row orders directly.  howell_form and Subgroup
+are the scalar reference the tests hold the arrays to.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import product
 from math import prod
@@ -195,15 +195,18 @@ def _in_span(w, forms, pivots, p, q):
 
 
 def _howell_forms(p, k, n, t, form=None):
-    """Every Howell form of order p^t in (Z_{p^k})^n, in batches.
+    """(forms, orders): every Howell form of order p^t in (Z_{p^k})^n.
 
-    Each batch is an array [F, s, n] of the forms sharing one pivot
-    pattern, rows in pivot order.  A batch of finished suffixes is
-    extended by every row with a given earlier pivot and valuation in one
-    pass: the candidate rows are one product grid of their free entries.
-    form = (signs, b) keeps only the forms isotropic for the pairing
-    sum_i signs_i u_i w_i mod b, summed in int64: n products of entries
-    below q overflow the forms' dtype.
+    forms [S, s, n] holds each form's rows in pivot order, padded with
+    zero rows up to the longest form, and orders [S, s] each row's order
+    q / p^v, 1 for a pad row.  A zero row sorts before every nonzero
+    row, so one lexsort of the padded rows sorts the forms by gens.
+    They are built in batches of one pivot pattern: a batch of finished
+    suffixes is extended by every row with a given earlier pivot and
+    valuation in one pass, the candidate rows one product grid of their
+    free entries.  form = (signs, b) keeps only the forms isotropic for
+    the pairing sum_i signs_i u_i w_i mod b, summed in int64: n products
+    of entries below q overflow the forms' dtype.
     """
     q = p ** k
     # entries, and every product in the membership test, lie in (-q^2, q^2)
@@ -214,7 +217,7 @@ def _howell_forms(p, k, n, t, form=None):
         # forms share pivots; prepend rows with earlier pivots until the
         # order is p^t
         if need == 0:
-            batches.append(forms)
+            batches.append((forms, [q // p ** v for _, v in pivots]))
             return
         sizes = [q] * n
         for col, val in pivots:
@@ -258,56 +261,54 @@ def _howell_forms(p, k, n, t, form=None):
                     extend(new, ((col, v),) + pivots, need - (k - v))
 
     extend(np.zeros((1, 0, n), dtype=dt), (), t)
-    return batches
-
-
-def _lex_order(batches):
-    """Permutation sorting the forms of all batches by their gens tuples.
-
-    Each form is flattened row by row and padded with -1, so a shorter
-    prefix sorts first.
-    """
-    if not batches:
-        return np.zeros(0, dtype=np.intp)
-    width = max(1, max(f.shape[1] * f.shape[2] for f in batches))
-    keys = np.full((width, sum(map(len, batches))), -1, dtype=batches[0].dtype)
+    # stored slot by slot, [s, S, n] and [s, S], so each row slot is one
+    # contiguous block for the sort and for the witness search
+    s = max((len(o) for _, o in batches), default=0)
+    forms = np.zeros((s, sum(len(f) for f, _ in batches), n), dtype=dt)
+    orders = np.ones(forms.shape[:2], dtype=np.min_scalar_type(q))
     lo = 0
-    for forms in batches:
-        flat = forms.reshape(len(forms), -1)
-        keys[:flat.shape[1], lo:lo + len(forms)] = flat.T
-        lo += len(forms)
-    return np.lexsort(keys[::-1])
+    while batches:  # each batch freed once copied
+        batch, row_orders = batches.pop()
+        hi = lo + len(batch)
+        forms[:len(row_orders), lo:hi] = batch.transpose(1, 0, 2)
+        orders[:len(row_orders), lo:hi] = np.array(row_orders)[:, None]
+        lo = hi
+        del batch
+    if forms.shape[1] > 1:  # else already sorted, with no rows at order 1
+        # a row's base-q code orders rows as their entries do, so the
+        # sort keys are the codes, one per row slot; a zero row has code 0
+        code = np.min_scalar_type(q ** n - 1)
+        place = q ** np.arange(n - 1, -1, -1, dtype=code)
+        perm = np.lexsort(np.einsum("rfn,n->rf", forms, place, dtype=code,
+                                    casting="unsafe")[::-1])
+        # permuted one row slot at a time, so no second copy of every
+        # form is alive at once
+        for slot in forms:
+            slot[:] = np.take(slot, perm, axis=0)
+        orders = np.take(orders, perm, axis=1)
+    return forms.transpose(1, 0, 2), orders.T
 
 
 class SubgroupList(Sequence):
     """Subgroups of one enumeration, sorted by gens, built on access.
 
-    batches holds (positions, forms) pairs: forms [F, s, n] are Howell
-    forms sharing one pivot pattern and positions[f] is the sorted index
-    of form f.  Indexing, slicing and iteration make a Subgroup only for
-    the entries they return.
+    forms [S, s, n] and orders [S, s] are _howell_forms's arrays: entry
+    i is the i-th subgroup's gens, padded with zero rows, and the orders
+    of those rows, padded with 1s.  Indexing, slicing and iteration make
+    a Subgroup only for the entries they return.
     """
 
-    def __init__(self, modulus, n, batches):
+    def __init__(self, modulus, n, forms, orders):
         self.modulus, self.n = modulus, n
-        self._starts = np.cumsum([0] + [len(f) for f in batches]).tolist()
-        self._order = _lex_order(batches)
-        positions = np.empty_like(self._order)
-        positions[self._order] = np.arange(len(self._order))
-        self.batches = tuple(
-            (positions[a:b], forms)
-            for a, b, forms in zip(self._starts, self._starts[1:], batches)
-        )
+        self.forms, self.orders = forms, orders
 
     def __len__(self):
-        return len(self._order)
+        return len(self.forms)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        u = int(self._order[i])
-        b = bisect_right(self._starts, u) - 1
-        gens = self.batches[b][1][u - self._starts[b]].tolist()
+        gens = self.forms[i][self.orders[i] > 1].tolist()
         return Subgroup(self.modulus, self.n, tuple(map(tuple, gens)))
 
 
@@ -326,7 +327,8 @@ def enumerate_subgroups(group, target_order, form=None):
         factors = tuple(group)
     if not factors:
         if target_order == 1:
-            return SubgroupList(1, 0, [np.zeros((1, 0, 0), dtype=np.int8)])
+            return SubgroupList(1, 0, np.zeros((1, 0, 0), dtype=np.int8),
+                                np.ones((1, 0), dtype=np.uint8))
         raise HypothesisViolation("trivial group has only the order-1 subgroup")
     q = factors[0]
     if any(f != q for f in factors):
@@ -349,4 +351,4 @@ def enumerate_subgroups(group, target_order, form=None):
         )
     if p ** t > q ** n:
         raise HypothesisViolation("target order exceeds the group order")
-    return SubgroupList(q, n, _howell_forms(p, k, n, t, form))
+    return SubgroupList(q, n, *_howell_forms(p, k, n, t, form))

@@ -190,6 +190,11 @@ def witness_json(gens, coeffs, value):
     }
 
 
+def int_list_text(values):
+    """Canonical JSON text of a list of Python ints."""
+    return "[" + ",".join(map(str, values)) + "]"
+
+
 # ---------------------------------------------------------------------------
 # isotropy oracle: the linking form in Fraction arithmetic, pair by pair
 

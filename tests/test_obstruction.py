@@ -13,7 +13,8 @@ from hypothesis import given, settings
 import knotcert as kc
 import knotcert.obstruction as obstruction
 from knotcert.covers import Character
-from oracles import brute_force_subgroups, self_annihilating_mask, witness_json
+from oracles import (brute_force_subgroups, int_list_text, self_annihilating_mask,
+                     witness_json)
 
 
 def wh11():
@@ -689,7 +690,7 @@ def test_tables_by_code_match_the_vector_list(q, n):
     # column at a time; the oracle writes each vector of (Z_q)^n, in
     # base-q code order, as its own list entry and sums its row
     vectors = list(product(range(q), repeat=n))
-    plain = [obstruction._int_list_text(v).encode() for v in vectors]
+    plain = [int_list_text(v).encode() for v in vectors]
     comma = [b"," + t for t in plain] + [b""]
     got_plain, got_comma = obstruction._row_texts(q, n)
     for got, expect in ((got_plain, np.array(plain)), (got_comma, np.array(comma))):

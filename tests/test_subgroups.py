@@ -164,15 +164,19 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
     # a column is built once per family while its cache holds it: the last
     # column built stays under the 16-entry bound, at order 81 too
     assert obstruction._grid_column(q, n, order, None, order - 1) is columns[-1]
-    # the batch arrays the columns are built from place every form once,
-    # at the sorted index of its Subgroup
-    placed = []
-    for positions, forms in subs.batches:
-        assert len({s.pivot_data for s in map(subs.__getitem__, positions)}) == 1
-        for i, form in zip(positions.tolist(), forms.tolist()):
-            assert subs[i].gens == tuple(map(tuple, form))
-            placed.append(i)
-    assert sorted(placed) == list(range(len(subs)))
+    # the padded arrays the columns are built from: each form is its
+    # Subgroup's gens with zero rows appended, each orders row its row
+    # orders with 1s appended, and the padded forms strictly increase
+    forms, orders = subs.forms, subs.orders
+    assert forms.shape[:2] == orders.shape and forms.shape[2] == n
+    for i, s in enumerate(subs):
+        rows = len(s.gens)
+        assert tuple(map(tuple, forms[i, :rows].tolist())) == s.gens
+        assert not forms[i, rows:].any()
+        assert orders[i].tolist() == list(s.row_orders()) + [1] * (
+            forms.shape[1] - rows)
+    flat = [tuple(f) for f in forms.reshape(len(forms), -1).tolist()]
+    assert all(a < b for a, b in zip(flat, flat[1:]))
 
 
 def test_subgroup_list_indexes_like_a_sorted_list():
