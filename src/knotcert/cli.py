@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse/input errors, 2 hypothesis violations
-(including inconclusive certifications), 3 budget or memory
-exhaustion.
+Exit codes: 0 success, 1 parse/input errors or a closed stdout, 2
+hypothesis violations (including inconclusive certifications), 3 budget
+or memory exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -386,7 +387,15 @@ def report_error(ex):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

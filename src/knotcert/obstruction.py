@@ -35,7 +35,7 @@ import numpy as np
 
 from ._frozen import frozen
 from .errors import BudgetExceeded, HypothesisViolation, ProfileError
-from .covers import Character, PatternCover
+from .covers import Character, PatternCover, characters_of_order
 from .knots import KnotExpr
 from .polynomials import prime_powers
 from .signatures import levine_tristram
@@ -658,16 +658,6 @@ def check_slice_obstruction(inst, max_group_order=3 ** 6,
 # ---------------------------------------------------------------------------
 # subsequence selection (the ordering-based rank argument)
 
-def _prime_power_characters(group_order):
-    """All nonzero characters of Z_n of prime-power order, as value lists."""
-    chars = []
-    for p, k in prime_powers(group_order):
-        q = p ** k
-        for c in range(1, q):
-            chars.append(Character((Fraction(c, q),)))
-    return chars
-
-
 @frozen
 class SelectionReport:
     """Greedy subsequence whose CG value ranges form a strict chain."""
@@ -686,7 +676,8 @@ def select_subsequence(family, cover, profile):
     before it.  May return an empty selection.
     """
     family = list(family)
-    chars = _prime_power_characters(cover.group.order)
+    chars = [chi for p, _ in prime_powers(cover.group.order)
+             for chi in characters_of_order(cover.group, p) if not chi.is_zero]
     assert chars, "cover group is nontrivial for theorem-sized patterns"
     ranges = []
     for e in family:

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedKnotError,
 )
 from .knots import (KnotExpr, _alexander_of_block, _normalize_alexander,
-                    alexander_of_matrix, evaluate)
+                    evaluate)
 from .polynomials import (
     _qdivmod,
     _qmul,
@@ -558,8 +558,13 @@ def signature_function(e, den_bound):
     v = evaluate(e)
     if v.size == 0:
         return SignatureFunction.zero(den_bound)
-    delta = alexander_of_matrix(v)
-    jumps = _circle_root_locus(delta)
+    # Delta's roots are its diagonal blocks' roots, read once per block
+    jumps = sorted({
+        x
+        for b in set(v.diagonal_blocks())
+        for x in _circle_root_locus(
+            _normalize_alexander(_alexander_of_block(b)))
+    })
     return _step_function(
         jumps, lambda x: signature_of_matrix(v, x), den_bound
     )

@@ -1,4 +1,4 @@
-"""Smith normal form over Z with both transforms tracked.
+"""Smith normal form over Z, reducing one matrix that carries both transforms.
 
 Pure Python integers throughout, so there is no overflow to worry
 about.  Pivots are chosen by smallest nonzero absolute value (with
@@ -7,47 +7,6 @@ makes the reduction deterministic.
 """
 
 from __future__ import annotations
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-class _Tracker:
-    """Row operations on A mirrored onto U, column operations onto W.
-
-    Maintains A_cur = U @ A_orig @ W.
-    """
-
-    def __init__(self, m, n):
-        self.U = _identity(m)
-        self.W = _identity(n)
-
-    def swap(self, a, i, k):
-        a[i], a[k] = a[k], a[i]
-        self.U[i], self.U[k] = self.U[k], self.U[i]
-
-    def negate(self, a, i):
-        a[i] = [-v for v in a[i]]
-        self.U[i] = [-v for v in self.U[i]]
-
-    def addmul(self, a, i, k, c):
-        # R_i += c * R_k
-        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
-        self.U[i] = [x + c * y for x, y in zip(self.U[i], self.U[k])]
-
-    def col_swap(self, a, j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in self.W:
-            row[j], row[k] = row[k], row[j]
-
-    def col_addmul(self, a, j, k, c):
-        # C_j += c * C_k
-        for row in a:
-            row[j] += c * row[k]
-        for row in self.W:
-            row[j] += c * row[k]
 
 
 def _rounded_quotient(a, b):
@@ -92,13 +51,26 @@ def smith_normal_form(rows):
     presentation matrix A the class of z in Z^m / A Z^m has coordinates
     (U @ z) mod diag, and U^{-1} = A @ W @ diag^{-1} on the columns
     with d_i != 0.
+
+    The reduction works on one (m + n) x (n + m) matrix: the first m
+    rows are A's rows, each followed by its row of U, and the last n
+    rows are W.  A row operation on the first m rows moves U with A,
+    and a column operation on the first n columns moves W with A, so
+    the top-left block stays U @ A @ W throughout.  Pivots are only
+    sought in that block.
     """
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     assert all(len(r) == n for r in a)
     assert all(isinstance(v, int) for r in a for v in r)
-    tr = _Tracker(m, n)
+    for i, row in enumerate(a):
+        row += [0] * m
+        row[n + i] = 1
+    for j in range(n):
+        row = [0] * n
+        row[j] = 1
+        a.append(row)
 
     rank_limit = min(m, n)
     t = 0
@@ -109,22 +81,27 @@ def smith_normal_form(rows):
         while True:
             _, pi, pj = found
             if pi != t:
-                tr.swap(a, t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                tr.col_swap(a, t, pj)
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
-                tr.negate(a, t)
-            pivot = a[t][t]
+                a[t] = [-v for v in a[t]]
+            pivot_row = a[t]
+            pivot = pivot_row[t]
             dirty = False
             for i in range(t + 1, m):
                 if a[i][t]:
-                    tr.addmul(a, i, t, -_rounded_quotient(a[i][t], pivot))
+                    c = _rounded_quotient(a[i][t], pivot)
+                    a[i] = [x - c * y for x, y in zip(a[i], pivot_row)]
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, n):
-                if a[t][j]:
-                    tr.col_addmul(a, j, t, -_rounded_quotient(a[t][j], pivot))
-                    if a[t][j]:
+                if pivot_row[j]:
+                    c = _rounded_quotient(pivot_row[j], pivot)
+                    for row in a:
+                        row[j] -= c * row[t]
+                    if pivot_row[j]:
                         dirty = True
             if not dirty:
                 # divisibility chain: a pivot must divide the whole
@@ -133,7 +110,7 @@ def smith_normal_form(rows):
                 i = _indivisible_row(a, t, m, n)
                 if i is None:
                     break
-                tr.addmul(a, t, i, 1)
+                a[t] = [x + y for x, y in zip(pivot_row, a[i])]
             # a smaller remainder appeared somewhere in row/col t;
             # promote the smallest entry and sweep again
             found = _find_pivot(a, t, m, n)
@@ -141,4 +118,4 @@ def smith_normal_form(rows):
 
     diag = [a[i][i] for i in range(rank_limit)]
     assert all(d == 0 for d in diag[t:])
-    return diag, tr.U, tr.W
+    return diag, [row[n:] for row in a[:m]], a[m:]

@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface.
 
-Everything runs in-process through ``cli.run(argv)``, which returns the
-exit code that ``main()`` would hand to ``sys.exit``.  The documented
-mapping is: 0 success, 1 parse/input errors, 2 hypothesis violations
+Everything but the closed-stdout test runs in-process through
+``cli.run(argv)``, which returns the exit code that ``main()`` would hand
+to ``sys.exit``.  The documented mapping is: 0 success, 1 parse/input
+errors or a closed stdout, 2 hypothesis violations
 (including inconclusive certifications), 3 budget, precision or
 memory exhaustion.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +22,8 @@ from hypothesis import example, given, settings
 import knotcert as kc
 from knotcert import cli
 from knotcert.knots import parse_knot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, argv):
@@ -248,6 +255,28 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "-2\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 300 KB of output, more than a pipe buffers: the CLI is still
+    # writing when the reader goes away
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knotcert.cli",
+         "subgroups", "3", "6", "27", "--limit", "5000"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"33880 subgroups of (Z_3)^6 of order 27\n"
+    assert err == b""
 
 
 # ---------------------------------------------------------------- json writer

@@ -16,17 +16,32 @@ int_matrices = st.integers(1, 5).flatmap(
     )
 )
 
+# m != n: U is m x m and W is n x n, so a mix-up of the two sizes shows
+rect_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+    lambda mn: mn[0] != mn[1]
+).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.integers(-12, 12), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
 
-@given(int_matrices)
+
+@given(int_matrices | rect_matrices)
 def test_snf_transform_properties(rows):
     diag, u, w = smith_normal_form(rows)
-    n = len(rows)
+    m, n = len(rows), len(rows[0])
 
-    # the whole factorization: U A W = diag with U and W unimodular
+    # the whole factorization: U A W = diag with U (m x m) and W (n x n)
+    # unimodular
+    assert len(diag) == min(m, n)
+    assert len(u) == m and all(len(r) == m for r in u)
+    assert len(w) == n and all(len(r) == n for r in w)
     assert abs(det_int(u)) == 1
     assert abs(det_int(w)) == 1
     U, A, W = (np.array(x, dtype=object) for x in (u, rows, w))
-    D = np.zeros((n, n), dtype=object)
+    D = np.zeros((m, n), dtype=object)
     np.fill_diagonal(D, diag)
     assert np.array_equal(U @ A @ W, D)
 
@@ -38,11 +53,12 @@ def test_snf_transform_properties(rows):
         else:
             assert b % a == 0
 
-    # |det A| is the product of the diagonal
-    prod = 1
-    for d in diag:
-        prod *= d
-    assert abs(det_int(rows)) == prod
+    # a square A has |det A| equal to the product of the diagonal
+    if m == n:
+        prod = 1
+        for d in diag:
+            prod *= d
+        assert abs(det_int(rows)) == prod
 
 
 @given(int_matrices)
