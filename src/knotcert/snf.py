@@ -52,12 +52,11 @@ def smith_normal_form(rows):
     (U @ z) mod diag, and U^{-1} = A @ W @ diag^{-1} on the columns
     with d_i != 0.
 
-    The reduction works on one (m + n) x (n + m) matrix: the first m
-    rows are A's rows, each followed by its row of U, and the last n
-    rows are W.  A row operation on the first m rows moves U with A,
-    and a column operation on the first n columns moves W with A, so
-    the top-left block stays U @ A @ W throughout.  Pivots are only
-    sought in that block.
+    The reduction works on one list of rows: A's m rows, each followed
+    by its row of U, then W's n rows.  A row operation on the first m
+    rows moves U with A, and a column operation on the first n columns
+    moves W with A, so the top-left m x n block stays U @ A @ W
+    throughout.  Pivots are only sought in that block.
     """
     a = [list(r) for r in rows]
     m = len(a)
