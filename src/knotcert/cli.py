@@ -338,7 +338,11 @@ def _demo_report(args):
 def run(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as done:
+            # argparse exits only after printing --help or --version
+            return done.code
         if args.command == "sig":
             lines, data = _signature_report(parse_knot(args.expr), args)
         elif args.command == "alex":

@@ -331,8 +331,8 @@ def _candidates(q, n, order, form):
     """The subgroups of (Z_q)^n of the order, isotropic for form if given.
 
     Every family cache takes form positionally, so a family has one key.
-    The sweep and the digest read its padded forms and row orders
-    (subs.forms, subs.orders) without a copy, in the sorted order.
+    The sweep and the digest read its padded row codes and row orders
+    (subs.codes, subs.orders) without a copy, in the sorted order.
     """
     return enumerate_subgroups((q,) * n, order, form=form)
 
@@ -347,28 +347,34 @@ def _grid_column(q, n, order, form, j):
     Its coefficients are j's mixed-radix digits in each candidate's row
     orders, last row fastest, for all candidates at once; a pad row has
     order 1, so digit 0, and a row slot whose digits are all 0 is
-    skipped.  Codes use the smallest unsigned dtype holding q^n - 1.
+    skipped.  A row slot that is read is decoded from its base-q codes
+    (subs.codes) into its n entries.  Codes use the smallest unsigned
+    dtype holding q^n - 1.
     """
     subs = _candidates(q, n, order, form)
-    forms, orders = subs.forms, subs.orders
-    # a coordinate before its one reduction mod q sums s products < q^2
-    wide = np.promote_types(
-        forms.dtype, np.min_scalar_type(-forms.shape[1] * (q - 1) ** 2))
-    # coordinate-major, with each product written in that layout too
-    member = np.zeros((n, len(forms)), dtype=wide)
-    term = np.empty_like(member)
-    rest = np.full(len(forms), j, dtype=np.min_scalar_type(order))
-    for r in range(forms.shape[1] - 1, -1, -1):
+    codes, orders = subs.codes, subs.orders
+    # a coordinate before its one reduction mod q sums s products < q^2;
+    # a code does not fit in this dtype, only each of its digits does
+    wide = np.min_scalar_type(codes.shape[1] * (q - 1) ** 2)
+    member = np.zeros((n, len(codes)), dtype=wide)  # coordinate-major
+    rest = np.full(len(codes), j, dtype=np.min_scalar_type(order))
+    for r in range(codes.shape[1] - 1, -1, -1):
         if not rest.any():
             break
         rest, c = np.divmod(rest, orders[:, r])
         if c.any():
-            member += np.multiply(forms[:, r].T, c.astype(wide), out=term)
-    member -= member // q * q  # numpy vectorizes // by a scalar, not %
-    dtype = np.min_scalar_type(q ** n - 1)
-    place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
+            # the row's entries, last digit first, each split off in the
+            # codes' dtype and only then cast
+            code, c = codes[:, r], c.astype(wide)
+            for i in range(n - 1, -1, -1):
+                quot = code // q  # numpy vectorizes // by a scalar, not %
+                member[i] += (code - quot * q).astype(wide) * c
+                code = quot
+    member -= member // q * q
+    place = q ** np.arange(n - 1, -1, -1, dtype=codes.dtype)
     # summed in the code dtype, with no wide copy of the members
-    return np.einsum("nf,n->f", member, place, dtype=dtype, casting="unsafe")
+    return np.einsum("nf,n->f", member, place, dtype=codes.dtype,
+                     casting="unsafe")
 
 
 def _first_witnesses(q, n, order, form, good):
@@ -460,7 +466,8 @@ def _isotropy_form(inst):
 # gets one head (chi, up to the subgroup's opening bracket) and one
 # tail (the closing bracket and the value), and the subgroup text
 # between them joins the texts of its generator rows, looked up by
-# their base-q codes (_gen_codes) in a per-(q, n) table (_row_texts).
+# the family's row codes (subs.codes) in a per-(q, n) table (_row_texts),
+# where the pad code 0 of a shorter form writes nothing.
 # An inline family is those texts parsed as one JSON array, and a
 # digest-only family is the sha256 of that array (witness_list_digest).
 
@@ -475,34 +482,17 @@ def _row_texts(q, n):
     """(plain, comma): canonical JSON bytes of every vector of (Z_q)^n.
 
     Both are byte-string arrays indexed by base-q code: plain[c] is the
-    text of vector c and comma[c] the same after a comma.  comma has
-    one more entry, the empty text at code q^n, which stands for a row
-    a generator matrix does not have.
+    text of vector c and comma[c] the same after a comma, except that
+    comma[0] is the empty text: code 0 is the pad code of a row a
+    generator matrix does not have, since no generator row is zero.
     """
     digits = np.array([str(d).encode() for d in range(q)])
     after_comma = _concat(b",", digits)
     columns = [after_comma if j else digits for j in range(n)]
     plain = _concat(_by_code(_concat, np.array([b"["]), columns), b"]")
-    comma = np.append(_concat(b",", plain), b"")
+    comma = _concat(b",", plain)
+    comma[0] = b""
     return plain, comma
-
-
-@lru_cache(maxsize=8)
-def _gen_codes(q, n, order, form):
-    """[S, s] base-q codes of each candidate's generator rows.
-
-    Candidates are in the enumeration order of _candidates, rows in
-    their gens order; a pad row (k >= 2 only) has code q^n.  The dtype
-    is the smallest unsigned one holding q^n.
-    """
-    subs = _candidates(q, n, order, form)
-    dtype = np.min_scalar_type(q ** n)
-    place = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-    # summed in the code dtype, with no wide copy of the forms
-    codes = np.einsum("frn,n->fr", subs.forms, place, dtype=dtype,
-                      casting="unsafe")
-    codes[subs.orders == 1] = q ** n
-    return codes
 
 
 @lru_cache(maxsize=1024)
@@ -519,14 +509,16 @@ def _witness_texts(q, n, order, form, codes, sum_lo, sum_hi, den):
 
     codes holds each candidate's witness code, in enumeration order, and
     sum_lo/sum_hi are the sweep's tables, so code c has the value
-    sum_lo[c]/den to sum_hi[c]/den.  Each text is its code's head, its subgroup's row
-    texts and its code's tail, concatenated as whole arrays of
-    _DIGEST_CHUNK witnesses at a time; heads and tails are built only
-    for the distinct codes.  A generator of one bytes object per
-    witness, each chunk built when its reader reaches it.
+    sum_lo[c]/den to sum_hi[c]/den.  Each text is its code's head, its
+    subgroup's row texts, read by the family's row codes (subs.codes,
+    the first slot from plain and the rest from comma), and its code's
+    tail, concatenated as whole arrays of _DIGEST_CHUNK witnesses at a
+    time; heads and tails are built only for the distinct codes.  A
+    generator of one bytes object per witness, each chunk built when its
+    reader reaches it.
     """
     plain, comma = _row_texts(q, n)
-    gens = _gen_codes(q, n, order, form)
+    gens = _candidates(q, n, order, form).codes
     # sorted distinct codes; np.unique(codes) loads numpy.ma (1.3 MB)
     ranked = np.sort(codes.astype(gens.dtype))
     first = np.ones(len(ranked), dtype=bool)

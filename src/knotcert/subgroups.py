@@ -19,11 +19,12 @@ candidate row failing that against a suffix is dropped at once.
 Enumeration counts run to the millions ((Z_9)^5 has 1,288,651
 subgroups of order 243), so the forms are built as integer arrays, a
 whole batch of suffixes with one pivot pattern extended per array
-pass, and stay arrays: enumerate_subgroups pads them with zero rows to
-one [S, s, n] array, sorts it with one lexsort and makes a Subgroup
-object only when one is accessed, while the witness search reads the
-padded forms and their row orders directly.  howell_form and Subgroup
-are the scalar reference the tests hold the arrays to.
+pass.  Each finished batch is kept only as its rows' base-q codes (digit
+0 most significant): enumerate_subgroups pads them with code 0, which
+no Howell row has, to one [S, s] array, sorts it with one lexsort and
+makes a Subgroup object only when one is accessed, while the witness
+search reads the codes and their row orders directly.  howell_form and
+Subgroup are the scalar reference the tests hold the arrays to.
 """
 
 from __future__ import annotations
@@ -195,29 +196,36 @@ def _in_span(w, forms, pivots, p, q):
 
 
 def _howell_forms(p, k, n, t, form=None):
-    """(forms, orders): every Howell form of order p^t in (Z_{p^k})^n.
+    """(codes, orders): every Howell form of order p^t in (Z_{p^k})^n.
 
-    forms [S, s, n] holds each form's rows in pivot order, padded with
-    zero rows up to the longest form, and orders [S, s] each row's order
-    q / p^v, 1 for a pad row.  A zero row sorts before every nonzero
-    row, so one lexsort of the padded rows sorts the forms by gens.
-    They are built in batches of one pivot pattern: a batch of finished
-    suffixes is extended by every row with a given earlier pivot and
-    valuation in one pass, the candidate rows one product grid of their
-    free entries.  form = (signs, b) keeps only the forms isotropic for
-    the pairing sum_i signs_i u_i w_i mod b, summed in int64: n products
-    of entries below q overflow the forms' dtype.
+    codes [S, s] holds the base-q code of each form's rows in pivot
+    order, digit 0 most significant, padded with code 0 up to the
+    longest form, and orders [S, s] each row's order q / p^v, 1 for a
+    pad row.  A row's code orders rows as their entries do, and the pad
+    code sorts before every row's, so one lexsort of the padded codes
+    sorts the forms by gens.  They are built in batches of one pivot
+    pattern: a batch of finished suffixes is extended by every row with
+    a given earlier pivot and valuation in one pass, the candidate rows
+    one product grid of their free entries, and a finished batch is
+    encoded at once.  form = (signs, b) keeps only the forms isotropic
+    for the pairing sum_i signs_i u_i w_i mod b, summed in int64: n
+    products of entries below q overflow the forms' dtype.
     """
     q = p ** k
     # entries, and every product in the membership test, lie in (-q^2, q^2)
     dt = np.min_scalar_type(-q * q)
+    code = np.min_scalar_type(q ** n - 1)
+    place = q ** np.arange(n - 1, -1, -1, dtype=code)
     batches = []
 
     def extend(forms, pivots, need):
         # forms share pivots; prepend rows with earlier pivots until the
         # order is p^t
         if need == 0:
-            batches.append((forms, [q // p ** v for _, v in pivots]))
+            # summed in the code dtype, with no wide copy of the forms
+            batches.append((np.einsum("fsn,n->sf", forms, place, dtype=code,
+                                      casting="unsafe"),
+                            [q // p ** v for _, v in pivots]))
             return
         sizes = [q] * n
         for col, val in pivots:
@@ -261,55 +269,50 @@ def _howell_forms(p, k, n, t, form=None):
                     extend(new, ((col, v),) + pivots, need - (k - v))
 
     extend(np.zeros((1, 0, n), dtype=dt), (), t)
-    # stored slot by slot, [s, S, n] and [s, S], so each row slot is one
-    # contiguous block for the sort and for the witness search
+    # stored slot by slot, [s, S], so each row slot is one contiguous
+    # block for the sort and for the witness search
     s = max((len(o) for _, o in batches), default=0)
-    forms = np.zeros((s, sum(len(f) for f, _ in batches), n), dtype=dt)
-    orders = np.ones(forms.shape[:2], dtype=np.min_scalar_type(q))
+    codes = np.zeros((s, sum(c.shape[1] for c, _ in batches)), dtype=code)
+    orders = np.ones(codes.shape, dtype=np.min_scalar_type(q))
     lo = 0
     while batches:  # each batch freed once copied
         batch, row_orders = batches.pop()
-        hi = lo + len(batch)
-        forms[:len(row_orders), lo:hi] = batch.transpose(1, 0, 2)
-        orders[:len(row_orders), lo:hi] = np.array(row_orders)[:, None]
+        rows, hi = len(row_orders), lo + batch.shape[1]
+        codes[:rows, lo:hi] = batch
+        orders[:rows, lo:hi] = np.array(row_orders)[:, None]
         lo = hi
         del batch
-    if forms.shape[1] > 1:  # else already sorted, with no rows at order 1
-        # a row's base-q code orders rows as their entries do, so the
-        # sort keys are the codes, one per row slot; a zero row has code 0
-        code = np.min_scalar_type(q ** n - 1)
-        place = q ** np.arange(n - 1, -1, -1, dtype=code)
-        perm = np.lexsort(np.einsum("rfn,n->rf", forms, place, dtype=code,
-                                    casting="unsafe")[::-1])
-        # permuted one row slot at a time, so no second copy of every
-        # form is alive at once
-        for slot in forms:
-            slot[:] = np.take(slot, perm, axis=0)
+    if codes.shape[1] > 1:  # else already sorted, with no rows at order 1
+        perm = np.lexsort(codes[::-1])
+        # taken whole along axis 1, so each row slot stays contiguous
+        codes = np.take(codes, perm, axis=1)
         orders = np.take(orders, perm, axis=1)
-    return forms.transpose(1, 0, 2), orders.T
+    return codes.T, orders.T
 
 
 class SubgroupList(Sequence):
     """Subgroups of one enumeration, sorted by gens, built on access.
 
-    forms [S, s, n] and orders [S, s] are _howell_forms's arrays: entry
-    i is the i-th subgroup's gens, padded with zero rows, and the orders
-    of those rows, padded with 1s.  Indexing, slicing and iteration make
-    a Subgroup only for the entries they return.
+    codes [S, s] and orders [S, s] are _howell_forms's arrays: entry i
+    is the base-q codes of the i-th subgroup's gens, padded with code 0,
+    and the orders of those rows, padded with 1s.  Indexing, slicing and
+    iteration decode a Subgroup only for the entries they return.
     """
 
-    def __init__(self, modulus, n, forms, orders):
+    def __init__(self, modulus, n, codes, orders):
         self.modulus, self.n = modulus, n
-        self.forms, self.orders = forms, orders
+        self.codes, self.orders = codes, orders
 
     def __len__(self):
-        return len(self.forms)
+        return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        gens = self.forms[i][self.orders[i] > 1].tolist()
-        return Subgroup(self.modulus, self.n, tuple(map(tuple, gens)))
+        q, n = self.modulus, self.n
+        gens = tuple(tuple(c // q ** j % q for j in range(n - 1, -1, -1))
+                     for c in self.codes[i].tolist() if c)
+        return Subgroup(q, n, gens)
 
 
 def enumerate_subgroups(group, target_order, form=None):
@@ -327,7 +330,7 @@ def enumerate_subgroups(group, target_order, form=None):
         factors = tuple(group)
     if not factors:
         if target_order == 1:
-            return SubgroupList(1, 0, np.zeros((1, 0, 0), dtype=np.int8),
+            return SubgroupList(1, 0, np.zeros((1, 0), dtype=np.uint8),
                                 np.ones((1, 0), dtype=np.uint8))
         raise HypothesisViolation("trivial group has only the order-1 subgroup")
     q = factors[0]

@@ -20,14 +20,16 @@ from sympy.polys.matrices import DomainMatrix
 # ---------------------------------------------------------------------------
 # signature oracle: plain floating eigenvalue counts with escalation
 
-def float_signature(rows, x, _dps=40):
+def float_signature(rows, x):
     """Signature of (1-w)V + (1-conj w)V^T by floating eigenvalues.
 
     numpy doubles first; when some eigenvalue is too close to 0 to call,
-    escalate to mpmath at increasing precision.  Eigenvalues whose
-    magnitude stays below 10^(-dps/2) at high precision are counted as
-    genuine zeros (the matrix is algebraic, so true nonzero eigenvalues
-    stop shrinking).
+    escalate to mpmath at increasing precision, starting at four times
+    the digits of x's denominator (at least 40), so a point 10^-d from a
+    root of Delta starts with room for its eigenvalue of size about
+    10^-d.  Eigenvalues whose magnitude stays below 10^(-dps/2) at high
+    precision are counted as genuine zeros (the matrix is algebraic, so
+    true nonzero eigenvalues stop shrinking).
     """
     n = len(rows)
     if n == 0 or Fraction(x) % 1 == 0:
@@ -40,11 +42,12 @@ def float_signature(rows, x, _dps=40):
     scale = max(1.0, float(np.max(np.abs(eig))))
     if np.min(np.abs(eig)) > 1e-8 * scale:
         return int(np.sum(eig > 0) - np.sum(eig < 0))
-    return _mp_signature(rows, x, _dps)
+    start = max(40, 4 * len(str(x.denominator)))
+    return _mp_signature(rows, x, start, 16 * start)
 
 
-def _mp_signature(rows, x, dps):
-    assert dps <= 700, "oracle escalation exhausted"
+def _mp_signature(rows, x, dps, max_dps):
+    assert dps <= max_dps, "oracle escalation exhausted"
     n = len(rows)
     with mp.workdps(dps):
         w = mp.e ** (2j * mp.pi * mp.mpf(x.numerator) / x.denominator)
@@ -55,13 +58,15 @@ def _mp_signature(rows, x, dps):
         eig = mp.eighe(a, eigvals_only=True)
         zero_tol = mp.mpf(10) ** (-dps // 2)
         scale = max(mp.mpf(1), max(abs(e) for e in eig))
+        # between 10^(-dps/2) and 10^(-dps/4), relative to the largest
+        band = mp.mpf(10) ** (-dps // 4) * scale
         sig = 0
         for e in eig:
             if abs(e) < zero_tol:
                 continue
-            if abs(e) < 1e-10 * scale:
+            if abs(e) < band:
                 # ambiguous band: not provably zero, not clearly signed
-                return _mp_signature(rows, x, 2 * dps)
+                return _mp_signature(rows, x, 2 * dps, max_dps)
             sig += 1 if e > 0 else -1
         return sig
 

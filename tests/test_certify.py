@@ -218,7 +218,7 @@ def test_k2_certificate_is_pinned():
     assert sum(c.subgroup_count for c in witnessed) == 6206
     # every combo of total 3 sweeps the order-27 family of (Z_9)^3
     subs = kc.enumerate_subgroups((9,) * 3, 27)
-    assert len(subs) == 157 and subs.forms.shape == (157, 3, 3)
+    assert len(subs) == 157 and subs.codes.shape == (157, 3)
     assert len({s.row_orders() for s in subs}) == 3
     assert len({tuple(o) for o in subs.orders.tolist()}) == 3
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import knotcert as kc
 from knotcert import cli
@@ -238,10 +238,104 @@ def test_missing_argument_exit_1(capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit):
-        cli.run(["--version"])
-    out = capsys.readouterr().out
-    assert "knotcert" in out
+    code, out, err = run_cli(capsys, ["--version"])
+    assert code == 0
+    assert out == f"knotcert {kc.__version__}\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["sig", "-h"], ["certify", "--help"], ["subgroups", "-h"],
+])
+def test_help_returns_0(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.startswith("usage: knotcert") and err == ""
+
+
+
+# knot expressions, or fragments valid and broken with at most four
+# joined, so a multiple stays below 3^4 copies and every command ends
+# quickly
+_EXPR = st.sampled_from([
+    "torus(2,3)", "mirror(torus(2,5))", "2*torus(2,3)#torus(2,5)",
+    "[[1,0],[1,1]]", "unknot",
+]) | st.lists(st.sampled_from([
+    "torus(2,3)", "torus(2,5)", "mirror(torus(2,3))", "mirror(", ")", "#",
+    "-3*", "2*", "[[1,0],[1,1]]", "[[0]]", ",", "unknot", "",
+]), max_size=4).map("".join)
+_INT = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "x", "1.5", ""])
+# sweeps stay within budget 2, so at most (Z_q)^2 is enumerated; the
+# budget is always given, since its default is 6
+_BUDGET = st.sampled_from(["-1", "0", "1", "2", "x"])
+_MODE = st.sampled_from(["ordering", "exhaustive", "x"])
+
+# subcommand: (positional strategies, required flags, optional flags);
+# a flag whose strategy is None takes no value
+_COMMANDS = {
+    "sig": ([_EXPR], {}, {"--at": st.sampled_from(
+        ["1/3", "1/6", "0", "1/2", "-1/3", "7/2", "1/0", "x", ""]),
+        "--bound": _INT}),
+    "alex": ([_EXPR], {}, {}),
+    "cover": ([_EXPR], {}, {}),
+    "whitehead": ([_INT, _INT], {}, {}),
+    "subgroups": ([st.sampled_from(["1", "2", "3", "4", "6", "9", "0", "-3", "x"]),
+                   st.sampled_from(["0", "1", "2", "3", "-1"]),
+                   st.sampled_from(["1", "3", "9", "27", "0", "-3", "x"])],
+                  {}, {"--limit": _INT}),
+    "certify": ([], {
+        "--budget": _BUDGET,
+        "--pattern": st.sampled_from(
+            ["whitehead:1,1", "whitehead:1,-2", "whitehead:1,-1",
+             "whitehead:0,0", "whitehead:1,", "whitehead:x", "torus"]),
+        "--family": st.lists(_EXPR, max_size=3).map(";".join),
+    }, {
+        "--profile": st.sampled_from(
+            ["zero", "bound:1/2", "bound:-1", "bound:x", "file:", "nope"]),
+        "--mode": _MODE,
+        "--per-side-cap": _INT,
+        "--max-group-order": st.sampled_from(["1", "729", "1000000000", "-1", "x"]),
+        "--witness-cap": _INT,
+        "--self-annihilating": None}),
+    "demo": ([], {
+        "--budget": _BUDGET,
+        # a third member, the default, is the multiple (n - 1) * n + 1 of
+        # torus(2, n), whose Seifert matrix is built dense: 40,494 rows
+        # for P(3,3)
+        "--count": st.sampled_from(["-1", "0", "1", "2", "x"]),
+    }, {"--a": _INT, "--b": _INT, "--per-side-cap": _INT, "--mode": _MODE}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, required, optional = _COMMANDS[command]
+    argv = [command] + [draw(s) for s in positional]
+    if positional and not draw(st.integers(0, 9)):
+        argv.pop()  # a missing positional is a usage error to map too
+    optional = dict(optional, **{"--format": st.sampled_from(["text", "json", "xml"])})
+    names = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    for name in sorted(required) + names:
+        strategy = required.get(name, optional.get(name))
+        argv += [name] if strategy is None else [name, draw(strategy)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+@example(["--version"])
+@example(["certify", "-h"])
+@example(["demo", "--budget", "2", "--a", "0"])
+@example(["sig", "mirror(", "--at", "1/0"])
+def test_fuzzed_argv_returns_a_mapped_code(capsys, argv):
+    # every argument list ends in a result or a mapped error: 0 success,
+    # 1 input, 2 hypothesis, 3 budget; never an exception or an exit
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code:
+        assert out == "" and err.startswith("error: "), (argv, out, err)
 
 
 # ---------------------------------------------------------------- output file

@@ -189,7 +189,7 @@ def test_family_caches_are_bounded():
             if hasattr(fn, "cache_parameters"):
                 caches[fn.__module__, fn.__qualname__] = fn
     names = {name for _, name in caches}
-    assert {"_candidates", "_grid_column", "_row_texts", "_gen_codes",
+    assert {"_candidates", "_grid_column", "_row_texts",
             "cyclotomic"} <= names, names
     for (module, name), fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, (module, name)

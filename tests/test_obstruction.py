@@ -691,7 +691,8 @@ def test_tables_by_code_match_the_vector_list(q, n):
     # base-q code order, as its own list entry and sums its row
     vectors = list(product(range(q), repeat=n))
     plain = [int_list_text(v).encode() for v in vectors]
-    comma = [b"," + t for t in plain] + [b""]
+    # code 0, the zero vector, is the pad code: no generator row is zero
+    comma = [b""] + [b"," + t for t in plain[1:]]
     got_plain, got_comma = obstruction._row_texts(q, n)
     for got, expect in ((got_plain, np.array(plain)), (got_comma, np.array(comma))):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)

@@ -475,3 +475,19 @@ def test_ordering_validates_inputs():
         kc.check_ordering_hypothesis((), 5)
     with pytest.raises(kc.HypothesisViolation):
         kc.check_ordering_hypothesis((kc.torus(2, 3),), 2)
+
+
+@pytest.mark.parametrize("e,root", [
+    (kc.torus(2, 3), Fraction(1, 6)),
+    (kc.torus(2, 5), Fraction(1, 10)),
+    (kc.torus(2, 5), Fraction(3, 10)),
+    (kc.mirror(kc.torus(2, 7)), Fraction(3, 14)),
+])
+def test_floating_oracle_agrees_next_to_a_root(e, root):
+    # the oracle's precision follows the point's denominator, so it
+    # judges a point 10^-100 from a root of Delta, and the root itself
+    rows = kc.evaluate(e).rows
+    points = [root] + [root + side * Fraction(1, 10 ** k)
+                       for k in (9, 12, 20, 40, 100) for side in (-1, 1)]
+    for x in points:
+        assert kc.levine_tristram(e, x) == float_signature(rows, x), x

@@ -139,13 +139,14 @@ def test_enumeration_beyond_brute_force(p, k, n, t, count):
 
 
 @pytest.mark.parametrize(
-    "q,n,order", [(9, 3, 27), (9, 3, 81), (3, 4, 9), (5, 4, 25)])
+    "q,n,order", [(9, 3, 27), (9, 3, 81), (3, 4, 9), (5, 4, 25), (7, 4, 49)])
 def test_element_tensor_matches_subgroup_elements(q, n, order):
     # the sweep reads the member codes one grid column at a time; side by
     # side the columns are the element tensor [subgroup, member].
     # (Z_9)^3 mixes row-order patterns: (9, 3), (3, 9) and (3, 3, 3) at
     # order 27; at order 81 (9, 3, 3), (3, 9, 3) and (3, 3, 9) share a
-    # row count
+    # row count.  (Z_7)^4 order 49 has 16-bit codes and 49 columns, more
+    # than the column cache holds
     subs = obstruction._candidates(q, n, order, None)
     assert [s.gens for s in subs] == [
         s.gens for s in kc.enumerate_subgroups((q,) * n, order)
@@ -164,18 +165,21 @@ def test_element_tensor_matches_subgroup_elements(q, n, order):
     # a column is built once per family while its cache holds it: the last
     # column built stays under the 16-entry bound, at order 81 too
     assert obstruction._grid_column(q, n, order, None, order - 1) is columns[-1]
-    # the padded arrays the columns are built from: each form is its
-    # Subgroup's gens with zero rows appended, each orders row its row
-    # orders with 1s appended, and the padded forms strictly increase
-    forms, orders = subs.forms, subs.orders
-    assert forms.shape[:2] == orders.shape and forms.shape[2] == n
+    # the padded arrays the columns are built from: each codes row is the
+    # base-q codes of its Subgroup's gens with code 0 appended, each
+    # orders row its row orders with 1s appended, and the padded code
+    # rows strictly increase
+    codes, orders = subs.codes, subs.orders
+    assert codes.shape == orders.shape and codes.shape[0] == len(subs)
+    assert codes.dtype == columns[0].dtype
     for i, s in enumerate(subs):
         rows = len(s.gens)
-        assert tuple(map(tuple, forms[i, :rows].tolist())) == s.gens
-        assert not forms[i, rows:].any()
+        assert codes[i, :rows].tolist() == [
+            sum(x * w for x, w in zip(g, place)) for g in s.gens]
+        assert not codes[i, rows:].any()
         assert orders[i].tolist() == list(s.row_orders()) + [1] * (
-            forms.shape[1] - rows)
-    flat = [tuple(f) for f in forms.reshape(len(forms), -1).tolist()]
+            codes.shape[1] - rows)
+    flat = [tuple(c) for c in codes.tolist()]
     assert all(a < b for a, b in zip(flat, flat[1:]))
 
 
